@@ -96,5 +96,9 @@ def test_eviction_throughput_wall_clock(benchmark):
             ObjectID.from_int(10_000 + next(counter)), bytes(MiB)
         )
 
+    # Fill past capacity first, so every timed create evicts however many
+    # iterations the benchmark runs (one under --benchmark-disable).
+    for _ in range(cfg.store.capacity_bytes // MiB + 1):
+        op()
     benchmark(op)
     assert cluster.store("node0").counters.get("objects_evicted") > 0

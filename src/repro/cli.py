@@ -77,13 +77,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro import Cluster
     from repro.common.units import gib_per_s
 
-    cluster = Cluster(n_nodes=args.nodes)
-    tracer = None
-    if args.trace:
-        from repro.common.trace import Tracer
-
-        tracer = Tracer(cluster.clock)
-        cluster.attach_tracer(tracer)
+    cluster = Cluster(n_nodes=args.nodes, tracing=args.trace is not None)
     producer = cluster.client("node0")
     remote = cluster.client(f"node{args.nodes - 1}")
     oid = cluster.new_object_id()
@@ -101,11 +95,21 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         f"({gib_per_s(len(payload), elapsed):.2f} GiB/s; paper: ~5.75)"
     )
     remote.release(oid)
-    if tracer is not None:
-        tracer.write_chrome_trace(args.trace)
-        print(f"wrote {len(tracer)} trace spans to {args.trace} "
+    if args.trace is not None:
+        sink = cluster.spans
+        sink.write_chrome_trace(args.trace)
+        traces = sink.traces()
+        spans = sum(len(trace["spans"]) for trace in traces)
+        print(f"wrote {spans} trace spans to {args.trace} "
               f"(open in chrome://tracing or Perfetto)")
-        print(tracer.format_summary())
+        for trace in traces:
+            parts = " ".join(
+                f"{component}={ns / 1e6:.3f}ms"
+                for component, ns in sorted(trace["components_ns"].items())
+                if ns
+            )
+            print(f"  {trace['category']}.{trace['name']:<12} "
+                  f"{trace['duration_ns'] / 1e6:9.3f} ms = {parts}")
     return 0
 
 
@@ -891,7 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--nodes", type=int, default=2)
     demo.add_argument("--size-mib", type=int, default=32)
     demo.add_argument("--trace", metavar="PATH", default=None,
-                      help="write a Chrome trace of the run to PATH")
+                      help="trace the run with the span sink and write its "
+                           "Chrome trace-event JSON to PATH, then print each "
+                           "operation's latency split by component")
 
     bench = sub.add_parser("bench", help="Table I microbenchmarks (Fig 6/7)")
     bench.add_argument("--spec", type=int, choices=range(1, 7), default=None,

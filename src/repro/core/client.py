@@ -12,9 +12,11 @@ from __future__ import annotations
 from repro.common.ids import ObjectID
 from repro.core.store import DisaggregatedStore
 from repro.network.ipc import IpcChannel
+from repro.obs.spans import maybe_span
 from repro.plasma.buffer import PlasmaBuffer
 from repro.plasma.client import PlasmaClient
 from repro.plasma.notifications import SealNotification
+from repro.rpc.aio.loop import run_inline
 
 
 class RemoteSubscription:
@@ -78,10 +80,12 @@ class DisaggregatedClient(PlasmaClient):
         if not object_ids:
             return []
         if self._correlation is None:
-            return self._get_op(object_ids, allow_missing, None)
+            with self._span("get", n=len(object_ids)):
+                return run_inline(self._get(object_ids, allow_missing))
         rid = self._correlation.begin()
         try:
-            buffers = self._get_op(object_ids, allow_missing, rid)
+            with self._span("get", n=len(object_ids), rid=rid):
+                buffers = run_inline(self._get(object_ids, allow_missing))
         finally:
             self._correlation.end()
         # Stamp handles so deferred reads (read_all after the Get returned)
@@ -91,60 +95,48 @@ class DisaggregatedClient(PlasmaClient):
                 buffer._set_correlation(self._correlation, rid)
         return buffers
 
-    def _get_op(
+    def get_task(
         self,
         object_ids: list[ObjectID],
-        allow_missing: bool,
-        rid: str | None,
-    ) -> list[PlasmaBuffer]:
-        tracer = self._store.tracer
-        spans = self._store.spans
-        if tracer is None and spans is None:
-            return self._get_inner(object_ids, allow_missing)
-        args = {"n": len(object_ids)}
-        if rid is not None:
-            args["rid"] = rid
-        if spans is not None:
-            with spans.span("client", "get", node=self._name, **args):
-                return self._get_traced(object_ids, allow_missing, args)
-        return self._get_traced(object_ids, allow_missing, args)
+        allow_missing: bool = False,
+        attr=None,
+    ):
+        """Task form of :meth:`get`: same reference-taking semantics, but
+        the resolution runs on the event loop (the caller releases)."""
+        object_ids = list(object_ids)
+        if not object_ids:
+            return []
+        return (
+            yield from self._get(object_ids, allow_missing, attr, inline=False)
+        )
 
-    def _get_traced(
-        self, object_ids: list[ObjectID], allow_missing: bool, args: dict
-    ) -> list[PlasmaBuffer]:
-        tracer = self._store.tracer
-        if tracer is not None:
-            with tracer.span("client", "get", track=self._name, **args):
-                return self._get_inner(object_ids, allow_missing)
-        return self._get_inner(object_ids, allow_missing)
-
-    def _get_inner(
-        self, object_ids: list[ObjectID], allow_missing: bool
-    ) -> list[PlasmaBuffer]:
+    def _get(self, object_ids, allow_missing, attr=None, inline=True):
         self._ipc.charge_request(nobjects=len(object_ids))
-        buffers = self._store.get_buffers(object_ids, allow_missing=allow_missing)
+        if attr is not None:
+            attr.settle("client")
+        if inline:
+            buffers = self._store.get_buffers(
+                object_ids, allow_missing=allow_missing
+            )
+        else:
+            buffers = yield from self.store.get_buffers_task(
+                object_ids, allow_missing, attr
+            )
         for buffer in buffers:
             if buffer is not None:
                 self._held.setdefault(buffer.object_id, []).append(buffer)
         self.counters.inc("gets", len(object_ids))
         return buffers
 
+    def _span(self, name: str, **args):
+        """The client layer's span hook. Sync facades only: the correlation
+        context its request id comes from is a stack, not task-local."""
+        return maybe_span(self._store.spans, "client", name, self._name, **args)
+
     def _release_store_ref(self, object_id: ObjectID) -> None:
         self.store.release_object(object_id)
 
     # -- batched multi-object API (repro.rpc.aio) ---------------------------------
-
-    def _aio_drive(self, gen, name: str):
-        loop = self.store.aio_loop
-        return loop.run_until_complete(loop.spawn(gen, name=name))
-
-    def _aio_facade(self) -> bool:
-        store = self.store
-        return (
-            store.rpc_async
-            and store.aio_loop is not None
-            and not store.aio_loop.driving
-        )
 
     def multi_get(
         self, object_ids: list[ObjectID], *, allow_missing: bool = True
@@ -160,13 +152,34 @@ class DisaggregatedClient(PlasmaClient):
         """
         if not object_ids:
             return []
-        if self._aio_facade():
-            return self._aio_drive(
+        if self.store._aio_facade():  # noqa: SLF001 — co-designed facade
+            return self.store._drive(  # noqa: SLF001
                 self.multi_get_task(object_ids, allow_missing=allow_missing),
                 name=f"multi-get:{self._name}",
             )
         buffers = self.get(list(object_ids), allow_missing=allow_missing)
         return self._read_out(object_ids, buffers)
+
+    def multi_get_task(
+        self,
+        object_ids: list[ObjectID],
+        *,
+        allow_missing: bool = True,
+        attr=None,
+    ):
+        """Task form of :meth:`multi_get` (``yield from`` inside a task)."""
+        object_ids = list(object_ids)
+        if not object_ids:
+            return []
+        buffers = yield from self._get(
+            object_ids, allow_missing, attr, inline=False
+        )
+        if attr is not None:
+            attr.settle("service")
+        out = self._read_out(object_ids, buffers)
+        if attr is not None:
+            attr.settle("fabric")
+        return out
 
     def _read_out(self, object_ids, buffers) -> list[bytes | None]:
         out: list[bytes | None] = []
@@ -187,171 +200,6 @@ class DisaggregatedClient(PlasmaClient):
             finally:
                 self.release(oid)
         return out
-
-    def multi_get_task(
-        self,
-        object_ids: list[ObjectID],
-        *,
-        allow_missing: bool = True,
-        attr=None,
-    ):
-        """Task form of :meth:`multi_get` (``yield from`` inside a task)."""
-        object_ids = list(object_ids)
-        if not object_ids:
-            return []
-        self._ipc.charge_request(nobjects=len(object_ids))
-        if attr is not None:
-            attr.settle("client")
-        buffers = yield from self.store.get_buffers_task(
-            object_ids, allow_missing, attr
-        )
-        if attr is not None:
-            attr.settle("service")
-        for buffer in buffers:
-            if buffer is not None:
-                self._held.setdefault(buffer.object_id, []).append(buffer)
-        self.counters.inc("gets", len(object_ids))
-        out = self._read_out(object_ids, buffers)
-        if attr is not None:
-            attr.settle("fabric")
-        return out
-
-    def get_task(
-        self,
-        object_ids: list[ObjectID],
-        allow_missing: bool = False,
-        attr=None,
-    ):
-        """Task form of :meth:`get`: same reference-taking semantics, but
-        the resolution runs on the event loop (the caller releases)."""
-        object_ids = list(object_ids)
-        if not object_ids:
-            return []
-        self._ipc.charge_request(nobjects=len(object_ids))
-        if attr is not None:
-            attr.settle("client")
-        buffers = yield from self.store.get_buffers_task(
-            object_ids, allow_missing, attr
-        )
-        for buffer in buffers:
-            if buffer is not None:
-                self._held.setdefault(buffer.object_id, []).append(buffer)
-        self.counters.inc("gets", len(object_ids))
-        return buffers
-
-    def multi_put(
-        self,
-        items: list[tuple[ObjectID, object]],
-        metadata: bytes = b"",
-        *,
-        replicas: int = 1,
-    ) -> list[ObjectID]:
-        """Bulk put: one batched uniqueness check for all ids; in async
-        mode every object's create pipeline runs as a concurrent task (a
-        ring-forwarded create overlaps its peers' instead of queueing
-        behind them)."""
-        items = list(items)
-        if not items:
-            return []
-        if self._aio_facade():
-            return self._aio_drive(
-                self.multi_put_task(items, metadata, replicas=replicas),
-                name=f"multi-put:{self._name}",
-            )
-        return self.put_batch(items, metadata, replicas=replicas)
-
-    def multi_put_task(
-        self,
-        items: list[tuple[ObjectID, object]],
-        metadata: bytes = b"",
-        *,
-        replicas: int = 1,
-        attr=None,
-    ):
-        """Task form of :meth:`multi_put`: concurrent per-object pipelines
-        after one shared reserve_ids check."""
-        self._check_replicas(replicas)
-        items = list(items)
-        if not items:
-            return []
-        ids = [oid for oid, _ in items]
-        self.store.reserve_ids(ids)
-        loop = self.store.aio_loop
-        tasks = [
-            loop.spawn(
-                self._put_one_task(oid, data, metadata, replicas, attr),
-                name=f"put:{i}",
-            )
-            for i, (oid, data) in enumerate(items)
-        ]
-        results = yield loop.gather(tasks)
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return ids
-
-    def _put_one_task(self, oid, data, metadata, replicas, attr):
-        """One multi_put item, ids already reserved: forward to the ring
-        home as a pipelined task, else the classic unchecked local create."""
-        home = self.store.placement_home(oid)
-        if home is not None:
-            self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-            ok = yield from self.store.forward_put_task(
-                oid, data, metadata, home, replicas=replicas, attr=attr
-            )
-            if ok:
-                self.counters.inc("puts_forwarded")
-                return oid
-            self.counters.inc("puts_forward_fallback")
-        mv = memoryview(data)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
-        self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-        entry = self._store.create_object_unchecked(oid, len(mv), metadata)
-        self._store.add_ref(oid)
-        buffer = self._store.local_buffer(entry)
-        self._held.setdefault(oid, []).append(buffer)
-        buffer.write(mv)
-        self.seal(oid)
-        self.release(oid)
-        self._replicate(oid, replicas)
-        return oid
-
-    def put_bytes_task(
-        self,
-        object_id: ObjectID,
-        data,
-        metadata: bytes = b"",
-        *,
-        replicas: int = 1,
-        attr=None,
-    ):
-        """Task form of :meth:`put_bytes` (placement-aware, pipelined
-        forward hops)."""
-        self._check_replicas(replicas)
-        home = self.store.placement_home(object_id)
-        if home is not None:
-            self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-            if attr is not None:
-                attr.settle("client")
-            ok = yield from self.store.forward_put_task(
-                object_id, data, metadata, home, replicas=replicas, attr=attr
-            )
-            if ok:
-                self.counters.inc("puts_forwarded")
-                return object_id
-            self.counters.inc("puts_forward_fallback")
-        PlasmaClient.put_bytes(self, object_id, data, metadata)
-        self._replicate(object_id, replicas)
-        return object_id
-
-    def delete_task(self, object_id: ObjectID, attr=None):
-        """Task form of :meth:`~repro.plasma.client.PlasmaClient.delete`."""
-        self._ipc.charge_request(nobjects=1)
-        if attr is not None:
-            attr.settle("client")
-        yield from self.store.delete_object_task(object_id, attr)
-        self.counters.inc("deletes")
 
     def tier_stats(self, peer: str | None = None) -> dict | None:
         """The tiering-plane snapshot (cache counters, heat-tracker sizes)
@@ -375,6 +223,8 @@ class DisaggregatedClient(PlasmaClient):
         return RemoteSubscription(
             handle.stub, int(response["subscription"]), peer_name
         )
+
+    # -- producer path ---------------------------------------------------------------
 
     def put_bytes(
         self,
@@ -401,50 +251,86 @@ class DisaggregatedClient(PlasmaClient):
         """
         self._check_replicas(replicas)
         if self._correlation is None:
-            self._put_routed(object_id, data, metadata, replicas)
-            return object_id
+            return run_inline(self._put(object_id, data, metadata, replicas))
         rid = self._correlation.begin()
         try:
-            spans = self._store.spans
-            if spans is not None:
-                with spans.span(
-                    "client", "put", node=self._name, rid=rid, replicas=replicas
-                ):
-                    self._put_traced(object_id, data, metadata, replicas, rid)
-            else:
-                self._put_traced(object_id, data, metadata, replicas, rid)
+            with self._span("put", rid=rid, replicas=replicas):
+                return run_inline(
+                    self._put(object_id, data, metadata, replicas)
+                )
         finally:
             self._correlation.end()
-        return object_id
 
-    def _put_traced(
-        self, object_id: ObjectID, data, metadata: bytes, replicas: int, rid: str
-    ) -> None:
-        tracer = self._store.tracer
-        if tracer is not None:
-            with tracer.span(
-                "client", "put", track=self._name, rid=rid, replicas=replicas
-            ):
-                self._put_routed(object_id, data, metadata, replicas)
-        else:
-            self._put_routed(object_id, data, metadata, replicas)
+    def put_bytes_task(
+        self,
+        object_id: ObjectID,
+        data,
+        metadata: bytes = b"",
+        *,
+        replicas: int = 1,
+        attr=None,
+    ):
+        """Task form of :meth:`put_bytes` (placement-aware, pipelined
+        forward hops)."""
+        self._check_replicas(replicas)
+        return (
+            yield from self._put(
+                object_id, data, metadata, replicas, attr, inline=False
+            )
+        )
 
-    def _put_routed(
-        self, object_id: ObjectID, data, metadata: bytes, replicas: int
-    ) -> None:
+    def _put(
+        self,
+        object_id: ObjectID,
+        data,
+        metadata: bytes,
+        replicas: int,
+        attr=None,
+        inline: bool = True,
+        *,
+        reserved: bool = False,
+    ):
         """Placement-aware create: forward to the ring home when it is a
-        reachable peer, else the classic local create + replicate path."""
+        reachable peer, else create locally and replicate. *reserved* ids
+        already passed one batched uniqueness check (put_batch), so their
+        local create skips the per-object check."""
         home = self.store.placement_home(object_id)
         if home is not None:
             self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-            if self.store.forward_put(
-                object_id, data, metadata, home, replicas=replicas
-            ):
+            if attr is not None:
+                attr.settle("client")
+            if inline:
+                ok = self.store.forward_put(
+                    object_id, data, metadata, home, replicas=replicas
+                )
+            else:
+                ok = yield from self.store.forward_put_task(
+                    object_id, data, metadata, home, replicas=replicas,
+                    attr=attr,
+                )
+            if ok:
                 self.counters.inc("puts_forwarded")
-                return
+                return object_id
             self.counters.inc("puts_forward_fallback")
-        super().put_bytes(object_id, data, metadata)
+        if reserved:
+            self._create_reserved(object_id, data, metadata)
+        else:
+            PlasmaClient.put_bytes(self, object_id, data, metadata)
         self._replicate(object_id, replicas)
+        return object_id
+
+    def _create_reserved(self, object_id: ObjectID, data, metadata: bytes):
+        mv = memoryview(data)
+        if mv.ndim != 1 or mv.itemsize != 1:
+            mv = mv.cast("B")
+        self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
+        entry = self._store.create_object_unchecked(object_id, len(mv), metadata)
+        self._store.add_ref(object_id)
+        buffer = self._store.local_buffer(entry)
+        self._held.setdefault(object_id, []).append(buffer)
+        buffer.write(mv)
+        self.seal(object_id)
+        self.release(object_id)
 
     def _check_replicas(self, replicas: int) -> None:
         if replicas < 1:
@@ -470,32 +356,84 @@ class DisaggregatedClient(PlasmaClient):
         instead of a Contains RPC per object — the amortised producer path.
         ``replicas`` behaves as in :meth:`put_bytes`.
         """
+        return run_inline(self._put_batch(items, metadata, replicas))
+
+    def multi_put(
+        self,
+        items: list[tuple[ObjectID, object]],
+        metadata: bytes = b"",
+        *,
+        replicas: int = 1,
+    ) -> list[ObjectID]:
+        """Bulk put: one batched uniqueness check for all ids; in async
+        mode every object's create pipeline runs as a concurrent task (a
+        ring-forwarded create overlaps its peers' instead of queueing
+        behind them)."""
+        items = list(items)
+        if not items:
+            return []
+        if self.store._aio_facade():  # noqa: SLF001 — co-designed facade
+            return self.store._drive(  # noqa: SLF001
+                self.multi_put_task(items, metadata, replicas=replicas),
+                name=f"multi-put:{self._name}",
+            )
+        return self.put_batch(items, metadata, replicas=replicas)
+
+    def multi_put_task(
+        self,
+        items: list[tuple[ObjectID, object]],
+        metadata: bytes = b"",
+        *,
+        replicas: int = 1,
+    ):
+        """Task form of :meth:`multi_put`: concurrent per-object pipelines
+        after one shared reserve_ids check."""
+        return (
+            yield from self._put_batch(items, metadata, replicas, inline=False)
+        )
+
+    def _put_batch(self, items, metadata, replicas, inline=True):
         self._check_replicas(replicas)
+        items = list(items)
         ids = [oid for oid, _ in items]
         self.store.reserve_ids(ids)
-        out: list[ObjectID] = []
-        for oid, data in items:
-            mv = memoryview(data)
-            if mv.ndim != 1 or mv.itemsize != 1:
-                mv = mv.cast("B")
-            home = self.store.placement_home(oid)
-            if home is not None:
-                self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-                if self.store.forward_put(
-                    oid, mv, metadata, home, replicas=replicas
-                ):
-                    self.counters.inc("puts_forwarded")
-                    out.append(oid)
-                    continue
-                self.counters.inc("puts_forward_fallback")
-            self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-            entry = self._store.create_object_unchecked(oid, len(mv), metadata)
-            self._store.add_ref(oid)
-            buffer = self._store.local_buffer(entry)
-            self._held.setdefault(oid, []).append(buffer)
-            buffer.write(mv)
-            self.seal(oid)
-            self.release(oid)
-            self._replicate(oid, replicas)
-            out.append(oid)
-        return out
+        if inline:
+            for oid, data in items:
+                yield from self._put(oid, data, metadata, replicas, reserved=True)
+            return ids
+        if not items:
+            return ids
+        loop = self.store.aio_loop
+        tasks = [
+            loop.spawn(
+                self._put(
+                    oid, data, metadata, replicas, inline=False, reserved=True
+                ),
+                name=f"put:{i}",
+            )
+            for i, (oid, data) in enumerate(items)
+        ]
+        results = yield loop.gather(tasks)
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        return ids
+
+    # -- deletion --------------------------------------------------------------------
+
+    def delete(self, object_id: ObjectID) -> None:
+        run_inline(self._delete(object_id))
+
+    def delete_task(self, object_id: ObjectID, attr=None):
+        """Task form of :meth:`delete`."""
+        yield from self._delete(object_id, attr, inline=False)
+
+    def _delete(self, object_id: ObjectID, attr=None, inline=True):
+        self._ipc.charge_request(nobjects=1)
+        if attr is not None:
+            attr.settle("client")
+        if inline:
+            self._store.delete_object(object_id)
+        else:
+            yield from self.store.delete_object_task(object_id, attr)
+        self.counters.inc("deletes")

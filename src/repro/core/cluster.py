@@ -82,7 +82,6 @@ class Cluster:
         check_remote_uniqueness: bool = True,
         sharing: str = "rpc",
         directory_buckets: int = 4096,
-        tracer=None,
         tracing: SpanConfig | bool | None = None,
         fault_plan: FaultPlan | None = None,
         metrics: bool = False,
@@ -92,14 +91,11 @@ class Cluster:
     ):
         self._config = config or ClusterConfig()
         self._config.validate()
-        self._tracer = tracer
-        # Correlation ids only exist when someone can observe them (a
-        # tracer, the span sink, or the metrics plane); otherwise every
-        # component keeps its None fast path.
+        # Correlation ids only exist when someone can observe them (the
+        # span sink or the metrics plane); otherwise every component keeps
+        # its None fast path.
         self._correlation = (
-            CorrelationContext()
-            if (tracer is not None or metrics or tracing)
-            else None
+            CorrelationContext() if (metrics or tracing) else None
         )
         if node_names is None:
             if n_nodes < 2:
@@ -129,7 +125,7 @@ class Cluster:
         if fault_plan is not None:
             fault_plan.validate(node_names)
             self._chaos = ChaosRuntime(
-                fault_plan, self._clock, self._config.chaos, tracer=tracer
+                fault_plan, self._clock, self._config.chaos
             )
         self._id_gen = UniqueIDGenerator(self._rng.spawn("object-ids"))
         self._fabric = ThymesisFabric(
@@ -203,7 +199,6 @@ class Cluster:
         # other node's exposed region).
         self._fabric.connect_full_mesh()
         for link in self._fabric.links():
-            link.tracer = tracer
             link.spans = self._spans
             link.correlation = self._correlation
         if self._chaos is not None:
@@ -254,7 +249,7 @@ class Cluster:
         if placement:
             self._membership = Membership(node_names, weights=node_weights)
             self._engine = MigrationEngine(
-                self._clock, tracer=tracer, spans=self._spans
+                self._clock, spans=self._spans
             )
             pcfg = self._config.placement
             self._rebalancer = Rebalancer(
@@ -316,7 +311,6 @@ class Cluster:
                 self._directory_buckets,
             )
             store.attach_directory(directory)
-        store.tracer = self._tracer
         store.spans = self._spans
         store.correlation = self._correlation
         store.attach_aio(self._loop, async_mode=self._rpc_mode == "async")
@@ -330,7 +324,6 @@ class Cluster:
             store.attach_tier(agent)
             self._tier_agents[name] = agent
         server = RpcServer(name)
-        server.tracer = self._tracer
         server.spans = self._spans
         server.clock = self._clock
         # Every server carries an admission model so chaos bursts and
@@ -366,7 +359,6 @@ class Cluster:
                 self._clock,
                 self._config.rpc,
                 self._rng,
-                tracer=self._tracer,
                 spans=self._spans,
                 breaker=CircuitBreaker(
                     self._clock,
@@ -505,10 +497,6 @@ class Cluster:
         return self._sharing
 
     @property
-    def tracer(self):
-        return self._tracer
-
-    @property
     def spans(self) -> SpanSink | None:
         """The span sink (None unless built with ``tracing=`` or attached)."""
         return self._spans
@@ -523,30 +511,11 @@ class Cluster:
         """The shared correlation context (None unless tracing/metrics)."""
         return self._correlation
 
-    def attach_tracer(self, tracer) -> None:
-        """Wire *tracer* (plus a correlation context) into every layer of
-        an already-built cluster — the CLI's opt-in ``--trace`` path.
-        Attach before creating clients so their operations mint ids."""
-        self._tracer = tracer
-        if self._correlation is None:
-            self._correlation = CorrelationContext()
-        for node in self._nodes.values():
-            node.store.tracer = tracer
-            node.store.correlation = self._correlation
-            node.server.tracer = tracer
-            node.server.clock = self._clock
-            for channel in node.channels.values():
-                channel._tracer = tracer  # noqa: SLF001 — co-designed wiring
-                channel._correlation = self._correlation  # noqa: SLF001
-        for link in self._fabric.links():
-            link.tracer = tracer
-            link.correlation = self._correlation
-
     def attach_spans(self, sink: SpanSink) -> None:
         """Wire a span sink (plus a correlation context) into every layer
-        of an already-built cluster — the retrofit twin of
-        :meth:`attach_tracer`. Build the sink over ``cluster.clock``;
-        attach before creating clients so their operations mint ids."""
+        of an already-built cluster — the retrofit twin of ``tracing=``.
+        Build the sink over ``cluster.clock``; attach before creating
+        clients so their operations mint ids."""
         self._spans = sink
         if self._correlation is None:
             self._correlation = CorrelationContext()
@@ -765,7 +734,6 @@ class Cluster:
         node = self._build_node(name)
         for other in existing:
             link = self._fabric.connect(name, other)
-            link.tracer = self._tracer
             link.spans = self._spans
             link.correlation = self._correlation
             if self._chaos is not None:
@@ -961,7 +929,6 @@ class Cluster:
             self._clock,
             **self._store_kwargs,
         )
-        store.tracer = self._tracer
         store.spans = self._spans
         store.correlation = self._correlation
         store.attach_aio(self._loop, async_mode=self._rpc_mode == "async")

@@ -42,6 +42,7 @@ from repro.rpc.overload import DeadlineBudget
 from repro.placement.membership import TopologyView
 from repro.placement.ring import HashRing
 from repro.memory.host import MemoryRegion
+from repro.obs.spans import maybe_component, maybe_span
 from repro.plasma.buffer import (
     PlasmaBuffer,
     RemoteBufferSource,
@@ -51,7 +52,8 @@ from repro.plasma.entry import ObjectEntry
 from repro.plasma.eviction import HeatAwareEvictionPolicy
 from repro.plasma.notifications import SealNotification
 from repro.plasma.store import PlasmaStore
-from repro.rpc.aio.loop import Sleep
+from repro.rpc.aio.batch import BATCHABLE_METHODS
+from repro.rpc.aio.loop import Sleep, run_inline
 from repro.rpc.aio.streaming import stream_pull
 from repro.rpc.status import StatusCode
 from repro.common.errors import RpcStatusError
@@ -363,6 +365,32 @@ class DisaggregatedStore(PlasmaStore):
                 ),
                 name=f"forward-put:{home}",
             )
+        return run_inline(
+            self._forward_put(object_id, data, metadata, home, replicas)
+        )
+
+    def forward_put_task(
+        self,
+        object_id: ObjectID,
+        data,
+        metadata: bytes,
+        home: str,
+        *,
+        replicas: int = 1,
+        attr=None,
+    ):
+        """Task form of :meth:`forward_put`: the PlacedCreate and PlacedSeal
+        hops are pipelined unary tasks sharing one deadline budget; the
+        payload still streams over the fabric between them."""
+        return (
+            yield from self._forward_put(
+                object_id, data, metadata, home, replicas, attr, inline=False
+            )
+        )
+
+    def _forward_put(
+        self, object_id, data, metadata, home, replicas, attr=None, inline=True
+    ):
         handle = self.peer(home)
         mv = memoryview(data)
         if mv.ndim != 1 or mv.itemsize != 1:
@@ -373,12 +401,16 @@ class DisaggregatedStore(PlasmaStore):
         # second instead of resetting it.
         budget = DeadlineBudget.for_stub(handle.stub, self.clock)
         try:
-            response = handle.stub.PlacedCreate(
+            response = yield from self._call_peer(
+                home,
+                "PlacedCreate",
                 {
                     "object_id": object_id.binary(),
                     "data_size": len(mv),
                     "metadata": bytes(metadata),
                 },
+                attr,
+                inline,
                 **budget.kwargs(),
             )
         except RpcStatusError as exc:
@@ -393,8 +425,12 @@ class DisaggregatedStore(PlasmaStore):
         offset = int(response["offset"])
         handle.remote_region.write(offset, mv)
         try:
-            handle.stub.PlacedSeal(
+            yield from self._call_peer(
+                home,
+                "PlacedSeal",
                 {"object_id": object_id.binary(), "replicas": int(replicas)},
+                attr,
+                inline,
                 **budget.kwargs(),
             )
         except RpcStatusError as exc:
@@ -552,7 +588,7 @@ class DisaggregatedStore(PlasmaStore):
         self._deferred_retires.discard(object_id)
         self._replicated_to.pop(object_id, None)
         self._retract_from_directory(object_id)
-        self._broadcast_deleted(object_id)
+        run_inline(self._broadcast_deleted(object_id))
         self._notify(SealNotification(object_id, entry.data_size, deleted=True))
         self.counters.inc("objects_migrated_out")
         self.counters.inc("bytes_migrated_out", entry.data_size)
@@ -615,23 +651,8 @@ class DisaggregatedStore(PlasmaStore):
 
     def check_id_available(self, object_id: ObjectID) -> None:
         super().check_id_available(object_id)
-        if not self._check_remote_uniqueness:
-            return
-        payload = {"object_ids": [object_id.binary()]}
-        for name in self.peers():
-            try:
-                response = self._peers[name].stub.Contains(payload)
-            except RpcStatusError as exc:
-                # A down peer cannot answer; creation proceeds on the
-                # surviving quorum (documented weakening, like any
-                # availability/consistency trade).
-                if self._peer_unavailable(name, exc):
-                    continue
-                raise
-            if any(response.get("present", [])):
-                raise ObjectExistsError(
-                    f"{object_id!r} already exists in peer store {name}"
-                )
+        if self._check_remote_uniqueness:
+            self._check_remote_ids([object_id])
 
     def reserve_ids(self, object_ids: list[ObjectID]) -> None:
         """Batched uniqueness check: one Contains RPC per peer for the whole
@@ -640,22 +661,30 @@ class DisaggregatedStore(PlasmaStore):
             for oid in object_ids:
                 if self.table.contains(oid):
                     raise ObjectExistsError(f"{oid!r} already exists in {self._name}")
-        if not self._check_remote_uniqueness or not object_ids:
-            return
-        payload = {"object_ids": [oid.binary() for oid in object_ids]}
-        for name in self.peers():
-            try:
-                response = self._peers[name].stub.Contains(payload)
-            except RpcStatusError as exc:
-                if self._peer_unavailable(name, exc):
-                    continue
-                raise
-            present = response.get("present", [])
-            for oid, hit in zip(object_ids, present):
+        if self._check_remote_uniqueness and object_ids:
+            self._check_remote_ids(object_ids)
+
+    def _check_remote_ids(self, object_ids: list[ObjectID]) -> None:
+        """One Contains RPC per peer; raises if any peer holds one of the
+        ids. A down peer cannot answer, so creation proceeds on the
+        surviving quorum (documented weakening, like any
+        availability/consistency trade)."""
+
+        def absent(name, outcome):
+            if isinstance(outcome, BaseException):
+                return self._skip_unavailable(name, outcome)
+            for oid, hit in zip(object_ids, outcome.get("present", [])):
                 if hit:
                     raise ObjectExistsError(
                         f"{oid!r} already exists in peer store {name}"
                     )
+
+        wire_ids = [oid.binary() for oid in object_ids]
+        run_inline(
+            self._call_peers(
+                "Contains", [(name, wire_ids) for name in self.peers()], absent
+            )
+        )
 
     # -- the remote retrieval path (paper Fig 5) --------------------------------------------
 
@@ -673,52 +702,47 @@ class DisaggregatedStore(PlasmaStore):
         """
         if not object_ids:
             return []
-        if self._aio_facade():
-            start_ns = self.clock.now_ns
-            try:
+        start_ns = self.clock.now_ns
+        try:
+            if self._aio_facade():
                 return self._drive(
                     self.get_buffers_task(object_ids, allow_missing),
                     name=f"get:{self._name}",
                 )
-            finally:
-                if self._m_get is not None:
-                    self._m_get.observe(self.clock.now_ns - start_ns)
-        if self.tracer is None and self.spans is None and self._m_get is None:
-            return self._get_buffers_inner(object_ids, allow_missing)
-        start_ns = self.clock.now_ns
-        try:
-            if self.tracer is not None or self.spans is not None:
-                args = {"n": len(object_ids)}
-                rid = self.correlation.current if self.correlation else None
-                if rid is not None:
-                    args["rid"] = rid
-                return self._get_buffers_observed(object_ids, allow_missing, args)
-            return self._get_buffers_inner(object_ids, allow_missing)
+            args = {"n": len(object_ids)}
+            rid = self.correlation.current if self.correlation else None
+            if rid is not None:
+                args["rid"] = rid
+            with maybe_span(
+                self.spans, "store", "get_buffers", node=self.node, **args
+            ):
+                return run_inline(self._get_buffers(object_ids, allow_missing))
         finally:
             if self._m_get is not None:
                 self._m_get.observe(self.clock.now_ns - start_ns)
 
-    def _get_buffers_observed(
-        self, object_ids: list[ObjectID], allow_missing: bool, args: dict
-    ) -> list[PlasmaBuffer]:
-        if self.spans is not None:
-            with self.spans.span("store", "get_buffers", node=self.node, **args):
-                return self._get_buffers_legacy_traced(
-                    object_ids, allow_missing, args
-                )
-        return self._get_buffers_legacy_traced(object_ids, allow_missing, args)
+    def get_buffers_task(
+        self,
+        object_ids: list[ObjectID],
+        allow_missing: bool = False,
+        attr=None,
+    ):
+        """Task form of :meth:`get_buffers`: the same body, with unresolved
+        ids going through concurrent (scatter-gather, optionally hedged)
+        batched Lookups and a gathered AddRef pin."""
+        return (
+            yield from self._get_buffers(
+                object_ids, allow_missing, attr, inline=False
+            )
+        )
 
-    def _get_buffers_legacy_traced(
-        self, object_ids: list[ObjectID], allow_missing: bool, args: dict
-    ) -> list[PlasmaBuffer]:
-        if self.tracer is not None:
-            with self.tracer.span("store", "get_buffers", track=self.node, **args):
-                return self._get_buffers_inner(object_ids, allow_missing)
-        return self._get_buffers_inner(object_ids, allow_missing)
-
-    def _get_buffers_inner(
-        self, object_ids: list[ObjectID], allow_missing: bool
-    ) -> list[PlasmaBuffer]:
+    def _get_buffers(
+        self,
+        object_ids: list[ObjectID],
+        allow_missing: bool,
+        attr=None,
+        inline: bool = True,
+    ):
         buffers: dict[ObjectID, PlasmaBuffer | None] = {}
         missing: list[ObjectID] = []
         with self.table.lock:
@@ -764,7 +788,9 @@ class DisaggregatedStore(PlasmaStore):
             missing = unresolved
         found_remote = 0
         if missing:
-            records = self._resolve_remote(missing, allow_missing)
+            records = yield from self._resolve_remote(
+                missing, allow_missing, attr, inline
+            )
             newly_pinned: dict[str, list[ObjectID]] = {}
             for oid in missing:
                 record = records.get(oid)
@@ -778,7 +804,7 @@ class DisaggregatedStore(PlasmaStore):
                 found_remote += 1
                 if self._tier is not None:
                     self._tier.note_remote_get(oid)
-            self._pin_at_home(newly_pinned)
+            yield from self._pin_at_home(newly_pinned, attr, inline)
         self.counters.inc(
             "gets_local", len(object_ids) - len(missing) - served_cached
         )
@@ -788,8 +814,12 @@ class DisaggregatedStore(PlasmaStore):
         return [buffers[oid] for oid in object_ids]
 
     def _resolve_remote(
-        self, object_ids: list[ObjectID], allow_missing: bool = False
-    ) -> dict[ObjectID, RemoteObjectRecord]:
+        self,
+        object_ids: list[ObjectID],
+        allow_missing: bool = False,
+        attr=None,
+        inline: bool = True,
+    ):
         resolved: dict[ObjectID, RemoteObjectRecord] = {}
         unresolved: list[ObjectID] = []
         for oid in object_ids:
@@ -807,8 +837,12 @@ class DisaggregatedStore(PlasmaStore):
             unreachable: list[str] = []
             if self._sharing in ("hashmap", "hybrid"):
                 still = self._hashmap_lookup(unresolved, resolved)
-            else:
+            elif inline:
                 still = self._rpc_lookup(unresolved, resolved, unreachable)
+            else:
+                still = yield from self._rpc_lookup_task(
+                    unresolved, resolved, unreachable, attr
+                )
             if still and not allow_missing:
                 detail = ", ".join(repr(oid) for oid in still[:5])
                 if unreachable:
@@ -885,13 +919,10 @@ class DisaggregatedStore(PlasmaStore):
         stub = self._peers[name].stub
         try:
             if hedge_ns is not None:
-                if self.spans is not None:
-                    # Time burned waiting on a hedge-clamped probe is the
-                    # cost of the hedging policy, not ordinary service —
-                    # attribute every ns of this attempt to "hedge".
-                    with self.spans.component("hedge"):
-                        response = stub.Lookup(payload, deadline_ns=hedge_ns)
-                else:
+                # Time burned waiting on a hedge-clamped probe is the cost
+                # of the hedging policy, not ordinary service — attribute
+                # every ns of this attempt to "hedge".
+                with maybe_component(self.spans, "hedge"):
                     response = stub.Lookup(payload, deadline_ns=hedge_ns)
             else:
                 response = stub.Lookup(payload)
@@ -929,21 +960,28 @@ class DisaggregatedStore(PlasmaStore):
                     unreachable.append(name)
                 return remaining
             raise
+        claimed = self._record_found(name, response, resolved)
+        if hedged and claimed:
+            # An answer arrived from a holder reached only because an
+            # earlier hedge fired — the hedge won the race.
+            self.counters.inc("lookup_hedge_wins")
+        return [oid for oid in remaining if oid not in claimed]
+
+    def _record_found(
+        self, name: str, response: dict, resolved: dict
+    ) -> set[ObjectID]:
+        """Record the descriptors peer *name*'s Lookup returned (live
+        records, lookup cache, *resolved*); returns the claimed ids."""
         self.counters.inc("lookup_rpcs")
-        found = response.get("found", [])
         claimed: set[ObjectID] = set()
-        for descriptor in found:
+        for descriptor in response.get("found", []):
             record = RemoteObjectRecord.from_descriptor(name, descriptor)
             self._remote_records[record.object_id] = record
             if self._lookup_cache is not None:
                 self._lookup_cache.put(record)
             resolved[record.object_id] = record
             claimed.add(record.object_id)
-        if hedged and claimed:
-            # An answer arrived from a holder reached only because an
-            # earlier hedge fired — the hedge won the race.
-            self.counters.inc("lookup_hedge_wins")
-        return [oid for oid in remaining if oid not in claimed]
+        return claimed
 
     def _hashmap_lookup(
         self,
@@ -1099,21 +1137,37 @@ class DisaggregatedStore(PlasmaStore):
         handle = self.peer(record.home)
         return handle.remote_region, record.offset, self._integrity_for(record)
 
-    def _pin_at_home(self, by_home: dict[str, list[ObjectID]]) -> None:
-        for home, oids in by_home.items():
-            try:
-                self._peers[home].stub.AddRef(
-                    {"object_ids": [oid.binary() for oid in oids]}
-                )
-            except RpcStatusError as exc:
-                if exc.code is StatusCode.NOT_FOUND:
-                    # The object vanished between lookup and pin — surface
-                    # as not-found so the client can retry cleanly.
-                    raise ObjectNotFoundError(str(exc)) from exc
-                raise
-            for oid in oids:
+    def _pin_at_home(
+        self, by_home: dict[str, list[ObjectID]], attr=None, inline=True
+    ):
+        """AddRef every newly referenced remote object at its home, one
+        batched call per home (inline in insertion order; on the loop
+        gathered, in sorted home order)."""
+        if not by_home:
+            return
+
+        def pinned(home, outcome):
+            if (
+                isinstance(outcome, RpcStatusError)
+                and outcome.code is StatusCode.NOT_FOUND
+            ):
+                # The object vanished between lookup and pin — surface as
+                # not-found so the client can retry cleanly.
+                raise ObjectNotFoundError(str(outcome)) from outcome
+            if isinstance(outcome, BaseException):
+                raise outcome
+            for oid in by_home[home]:
                 self._remote_records[oid].pinned_at_home = True
             self.counters.inc("addref_rpcs")
+
+        homes = list(by_home) if inline else sorted(by_home)
+        yield from self._call_peers(
+            "AddRef",
+            [(home, [oid.binary() for oid in by_home[home]]) for home in homes],
+            pinned,
+            attr,
+            inline,
+        )
 
     # -- async task plane (repro.rpc.aio) --------------------------------------------
 
@@ -1143,7 +1197,7 @@ class DisaggregatedStore(PlasmaStore):
     def _aio_facade(self) -> bool:
         """True when a synchronous facade should reroute through its task
         form: async mode is on and we are *not* already inside a task (a
-        nested facade executes its classic inline body instead — blocking
+        nested facade drives the same body inline instead — blocking
         semantics are safe there, re-entering the loop driver is not)."""
         return (
             self._rpc_async
@@ -1164,120 +1218,76 @@ class DisaggregatedStore(PlasmaStore):
             return channel
         return None
 
-    def get_buffers_task(
-        self,
-        object_ids: list[ObjectID],
-        allow_missing: bool = False,
-        attr=None,
+    def _call_peer(
+        self, name, method, request, attr=None, inline=True, **kwargs
     ):
-        """Task form of :meth:`get_buffers`: the local table and tier-cache
-        scans are instant; unresolved ids go through concurrent (scatter-
-        gather, optionally hedged) batched Lookups and a gathered AddRef
-        pin. Mirrors ``_get_buffers_inner`` outcome-for-outcome."""
-        buffers: dict[ObjectID, PlasmaBuffer | None] = {}
-        missing: list[ObjectID] = []
-        with self.table.lock:
-            for oid in object_ids:
-                entry = self.table.lookup(oid)
-                if entry is not None:
-                    if not entry.is_sealed:
-                        if allow_missing:
-                            buffers[oid] = None
-                            continue
-                        raise ObjectNotFoundError(
-                            f"{oid!r} exists locally but is not sealed"
-                        )
-                    self.table.add_ref(oid)
-                    buffers[oid] = self.local_buffer(entry)
-                    if self._tier is not None:
-                        self._tier.note_local_get(oid)
-                else:
-                    missing.append(oid)
-        served_cached = 0
-        if missing and self._tier is not None and self._notify_deletions:
-            unresolved: list[ObjectID] = []
-            for oid in missing:
-                if oid in self._remote_records:
-                    unresolved.append(oid)
-                    continue
-                hit = self._tier.serve_cached(oid)
-                if hit is None:
-                    unresolved.append(oid)
-                    continue
-                _, payload, home = hit
-                buffers[oid] = self._cache_served_buffer(oid, payload, home)
-                self._tier.note_served(oid)
-                self._tier.note_remote_get(oid)
-                served_cached += 1
-            missing = unresolved
-        found_remote = 0
-        if missing:
-            records = yield from self._resolve_remote_task(
-                missing, allow_missing, attr
+        """One unary call to peer *name*: a blocking stub call inline, a
+        pipelined task on the loop (the stub again when the peer's transport
+        has no event-loop channel, i.e. dmsg rings)."""
+        stub = self._peers[name].stub
+        channel = None if inline else self._peer_channel(name)
+        if channel is None:
+            return getattr(stub, method)(request, **kwargs)
+        return (
+            yield from channel.unary_task(
+                stub.service, method, request, attr=attr, **kwargs
             )
-            newly_pinned: dict[str, list[ObjectID]] = {}
-            for oid in missing:
-                record = records.get(oid)
-                if record is None:
-                    buffers[oid] = None  # allow_missing guaranteed by resolve
-                    continue
-                if record.local_refs == 0 and self._share_usage:
-                    newly_pinned.setdefault(record.home, []).append(oid)
-                record.local_refs += 1
-                buffers[oid] = self._remote_buffer(record)
-                found_remote += 1
-                if self._tier is not None:
-                    self._tier.note_remote_get(oid)
-            yield from self._pin_at_home_task(newly_pinned, attr)
-        self.counters.inc(
-            "gets_local", len(object_ids) - len(missing) - served_cached
         )
-        self.counters.inc("gets_remote", found_remote)
-        if served_cached:
-            self.counters.inc("gets_cache_served", served_cached)
-        return [buffers[oid] for oid in object_ids]
 
-    def _resolve_remote_task(
-        self,
-        object_ids: list[ObjectID],
-        allow_missing: bool = False,
-        attr=None,
-    ):
-        """Task form of :meth:`_resolve_remote` (same caches, same typed
-        errors); only the per-peer Lookups change shape."""
-        resolved: dict[ObjectID, RemoteObjectRecord] = {}
-        unresolved: list[ObjectID] = []
-        for oid in object_ids:
-            record = self._remote_records.get(oid)
-            if record is None and self._lookup_cache is not None:
-                record = self._lookup_cache.get(oid)
-                if record is not None:
-                    self._remote_records[oid] = record
-                    self.counters.inc("lookup_cache_hits")
-            if record is not None:
-                resolved[oid] = record
-            else:
-                unresolved.append(oid)
-        if unresolved:
-            unreachable: list[str] = []
-            if self._sharing in ("hashmap", "hybrid"):
-                still = self._hashmap_lookup(unresolved, resolved)
-            else:
-                still = yield from self._rpc_lookup_task(
-                    unresolved, resolved, unreachable, attr
-                )
-            if still and not allow_missing:
-                detail = ", ".join(repr(oid) for oid in still[:5])
-                if unreachable:
-                    raise ObjectUnavailableError(
-                        f"{len(still)} object(s) unresolved while peer(s) "
-                        f"{', '.join(unreachable)} are unreachable: {detail}",
-                        unreachable_peers=tuple(unreachable),
+    def _call_peers(self, method, calls, on_result, attr=None, inline=True):
+        """One id-list *method* call per ``(peer, wire_ids)`` in *calls*;
+        ``on_result(peer, outcome)`` gets each response, or the
+        :class:`RpcStatusError` the call failed with, and raises what is
+        fatal. Inline the calls block one after another, each outcome
+        handled before the next call goes out. On the loop they run
+        concurrently — coalesced for batchable methods, one pipelined unary
+        task otherwise — and outcomes are handled in call order once all
+        are in; a peer without an event-loop channel is called in its turn."""
+        loop = self._aio_loop
+        names, waits = [], []
+        for name, wire_ids in calls:
+            stub = self._peers[name].stub
+            channel = None if inline else self._peer_channel(name)
+            if channel is None:
+                try:
+                    outcome = getattr(stub, method)({"object_ids": wire_ids})
+                except RpcStatusError as exc:
+                    outcome = exc
+                on_result(name, outcome)
+                continue
+            names.append(name)
+            if method in BATCHABLE_METHODS:
+                waits.append(
+                    channel.batched_call(
+                        stub.service, method, wire_ids, attr=attr
                     )
-                raise ObjectNotFoundError(
-                    f"{len(still)} object(s) not found anywhere: " + detail
                 )
-        return resolved
+            else:
+                waits.append(
+                    loop.spawn(
+                        channel.unary_task(
+                            stub.service,
+                            method,
+                            {"object_ids": wire_ids},
+                            attr=attr,
+                        ),
+                        name=f"{method}:{name}",
+                    )
+                )
+        if waits:
+            results = yield loop.gather(waits)
+            for name, outcome in zip(names, results):
+                on_result(name, outcome)
+
+    def _skip_unavailable(self, name: str, outcome) -> None:
+        """Fan-out outcome handler: a peer whose metadata plane is down is
+        skipped; any other failure propagates."""
+        if isinstance(outcome, RpcStatusError) and self._peer_unavailable(
+            name, outcome
+        ):
+            return
+        if isinstance(outcome, BaseException):
+            raise outcome
 
     def _rpc_lookup_task(
         self,
@@ -1427,211 +1437,8 @@ class DisaggregatedStore(PlasmaStore):
                     unreachable.append(name)
                 return list(remaining)
             raise
-        self.counters.inc("lookup_rpcs")
-        claimed: set[ObjectID] = set()
-        for descriptor in response.get("found", []):
-            record = RemoteObjectRecord.from_descriptor(name, descriptor)
-            self._remote_records[record.object_id] = record
-            if self._lookup_cache is not None:
-                self._lookup_cache.put(record)
-            resolved[record.object_id] = record
-            claimed.add(record.object_id)
+        claimed = self._record_found(name, response, resolved)
         return [oid for oid in remaining if oid not in claimed]
-
-    def _pin_at_home_task(self, by_home: dict[str, list[ObjectID]], attr=None):
-        """Gathered, batched AddRef pins (task form of `_pin_at_home`)."""
-        if not by_home:
-            return
-        loop = self._aio_loop
-        homes, futures = [], []
-        for home in sorted(by_home):
-            channel = self._peer_channel(home)
-            if channel is None:
-                self._pin_at_home({home: by_home[home]})
-                continue
-            homes.append(home)
-            futures.append(
-                channel.batched_call(
-                    self._peers[home].stub.service,
-                    "AddRef",
-                    [oid.binary() for oid in by_home[home]],
-                    attr=attr,
-                )
-            )
-        if not futures:
-            return
-        results = yield loop.gather(futures)
-        for home, result in zip(homes, results):
-            if isinstance(result, RpcStatusError):
-                if result.code is StatusCode.NOT_FOUND:
-                    raise ObjectNotFoundError(str(result)) from result
-                raise result
-            if isinstance(result, BaseException):
-                raise result
-            for oid in by_home[home]:
-                self._remote_records[oid].pinned_at_home = True
-            self.counters.inc("addref_rpcs")
-
-    def delete_object_task(self, object_id: ObjectID, attr=None):
-        """Task form of delete: the local unlink is instant; the
-        NotifyDeleted fan-out and replica drops run concurrently."""
-        PlasmaStore.delete_object(self, object_id)
-        self._retract_from_directory(object_id)
-        yield from self._broadcast_deleted_task(object_id, attr)
-        yield from self._drop_remote_replicas_task(object_id, attr)
-        self._replicas_of.pop(object_id, None)
-
-    def _broadcast_deleted_task(self, object_id: ObjectID, attr=None):
-        """Concurrent batched NotifyDeleted to every peer (task form of
-        `_broadcast_deleted`, same unavailable-peer tolerance)."""
-        if not self._notify_deletions:
-            return
-        loop = self._aio_loop
-        wire_id = object_id.binary()
-        names, futures = [], []
-        for name in self.peers():
-            channel = self._peer_channel(name)
-            if channel is None:
-                try:
-                    self._peers[name].stub.NotifyDeleted(
-                        {"object_ids": [wire_id]}
-                    )
-                except RpcStatusError as exc:
-                    if self._peer_unavailable(name, exc):
-                        continue
-                    raise
-                continue
-            names.append(name)
-            futures.append(
-                channel.batched_call(
-                    self._peers[name].stub.service,
-                    "NotifyDeleted",
-                    [wire_id],
-                    attr=attr,
-                )
-            )
-        if futures:
-            results = yield loop.gather(futures)
-            for name, result in zip(names, results):
-                if isinstance(result, RpcStatusError):
-                    if self._peer_unavailable(name, result):
-                        continue
-                    raise result
-                if isinstance(result, BaseException):
-                    raise result
-        self.counters.inc("delete_notifications")
-
-    def _drop_remote_replicas_task(self, object_id: ObjectID, attr=None):
-        """Concurrent DropReplica to every recorded holder (task form of
-        `_drop_remote_replicas`; DropReplica is not batchable — one pipelined
-        unary per holder)."""
-        holders = self._replicated_to.pop(object_id, ())
-        if not holders:
-            return
-        loop = self._aio_loop
-        payload = {"object_ids": [object_id.binary()]}
-        names, tasks = [], []
-        for name in holders:
-            if name not in self._peers:
-                continue
-            channel = self._peer_channel(name)
-            if channel is None:
-                try:
-                    self._peers[name].stub.DropReplica(payload)
-                except RpcStatusError as exc:
-                    if self._peer_unavailable(name, exc):
-                        continue
-                    raise
-                continue
-            names.append(name)
-            tasks.append(
-                loop.spawn(
-                    channel.unary_task(
-                        self._peers[name].stub.service,
-                        "DropReplica",
-                        payload,
-                        attr=attr,
-                    ),
-                    name=f"drop-replica:{name}",
-                )
-            )
-        if not tasks:
-            return
-        results = yield loop.gather(tasks)
-        for name, result in zip(names, results):
-            if isinstance(result, RpcStatusError):
-                if self._peer_unavailable(name, result):
-                    continue
-                raise result
-            if isinstance(result, BaseException):
-                raise result
-
-    def forward_put_task(
-        self,
-        object_id: ObjectID,
-        data,
-        metadata: bytes,
-        home: str,
-        *,
-        replicas: int = 1,
-        attr=None,
-    ):
-        """Task form of :meth:`forward_put`: the PlacedCreate and PlacedSeal
-        hops are pipelined unary tasks sharing one deadline budget; the
-        payload still streams over the fabric between them."""
-        handle = self.peer(home)
-        channel = self._peer_channel(home)
-        if channel is None:
-            return self.forward_put(
-                object_id, data, metadata, home, replicas=replicas
-            )
-        mv = memoryview(data)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
-        budget = DeadlineBudget.for_stub(handle.stub, self.clock)
-        service = handle.stub.service
-        try:
-            response = yield from channel.unary_task(
-                service,
-                "PlacedCreate",
-                {
-                    "object_id": object_id.binary(),
-                    "data_size": len(mv),
-                    "metadata": bytes(metadata),
-                },
-                attr=attr,
-                **budget.kwargs(),
-            )
-        except RpcStatusError as exc:
-            if exc.code is StatusCode.ALREADY_EXISTS:
-                raise ObjectExistsError(
-                    f"{object_id!r} already exists in home store {home}"
-                ) from exc
-            if self._peer_unavailable(home, exc):
-                self.counters.inc("placed_creates_fallback")
-                return False
-            raise
-        offset = int(response["offset"])
-        handle.remote_region.write(offset, mv)
-        try:
-            yield from channel.unary_task(
-                service,
-                "PlacedSeal",
-                {"object_id": object_id.binary(), "replicas": int(replicas)},
-                attr=attr,
-                **budget.kwargs(),
-            )
-        except RpcStatusError as exc:
-            if self._peer_unavailable(home, exc):
-                raise ObjectUnavailableError(
-                    f"home store {home} became unreachable while sealing "
-                    f"{object_id!r}",
-                    unreachable_peers=(home,),
-                ) from exc
-            raise
-        self.counters.inc("placed_creates_forwarded")
-        self.counters.inc("placed_bytes_forwarded", len(mv))
-        return True
 
     # -- replication for failover reads (degraded-mode extension) ------------------------------
 
@@ -1749,22 +1556,21 @@ class DisaggregatedStore(PlasmaStore):
         """Is our local *object_id* a copy of some peer's object?"""
         return object_id in self._replicas_of
 
-    def _drop_remote_replicas(self, object_id: ObjectID) -> None:
+    def _drop_remote_replicas(self, object_id: ObjectID, attr=None, inline=True):
+        """DropReplica at every recorded holder of our deleted object."""
         holders = self._replicated_to.pop(object_id, ())
         if not holders:
             return
-        payload = {"object_ids": [object_id.binary()]}
-        for name in holders:
-            if name not in self._peers:
-                # The holder left the cluster (remove_node disconnects the
-                # peer); its copy is gone with it, nothing to drop.
-                continue
-            try:
-                self._peers[name].stub.DropReplica(payload)
-            except RpcStatusError as exc:
-                if self._peer_unavailable(name, exc):
-                    continue
-                raise
+        wire_ids = [object_id.binary()]
+        # A holder that left the cluster (remove_node disconnects the peer)
+        # took its copy with it: nothing to drop there.
+        yield from self._call_peers(
+            "DropReplica",
+            [(name, wire_ids) for name in holders if name in self._peers],
+            self._skip_unavailable,
+            attr,
+            inline,
+        )
 
     # -- integrity: quarantine/repair with directory upkeep ------------------------------------
 
@@ -1773,7 +1579,7 @@ class DisaggregatedStore(PlasmaStore):
         peers (directory retraction + cache invalidation push)."""
         entry = super().quarantine_object(object_id)
         self._retract_from_directory(object_id)
-        self._broadcast_deleted(object_id)
+        run_inline(self._broadcast_deleted(object_id))
         return entry
 
     def repair_object(self, object_id: ObjectID, data) -> ObjectEntry:
@@ -1823,17 +1629,19 @@ class DisaggregatedStore(PlasmaStore):
 
     # -- deletion/eviction notifications (cache invalidation) ------------------------------------
 
-    def _broadcast_deleted(self, object_id: ObjectID) -> None:
+    def _broadcast_deleted(self, object_id: ObjectID, attr=None, inline=True):
+        """Push NotifyDeleted for *object_id* to every peer (cache
+        invalidation); an unreachable peer is skipped."""
         if not self._notify_deletions:
             return
-        payload = {"object_ids": [object_id.binary()]}
-        for name in self.peers():
-            try:
-                self._peers[name].stub.NotifyDeleted(payload)
-            except RpcStatusError as exc:
-                if self._peer_unavailable(name, exc):
-                    continue
-                raise
+        wire_ids = [object_id.binary()]
+        yield from self._call_peers(
+            "NotifyDeleted",
+            [(name, wire_ids) for name in self.peers()],
+            self._skip_unavailable,
+            attr,
+            inline,
+        )
         self.counters.inc("delete_notifications")
 
     def delete_object(self, object_id: ObjectID) -> None:
@@ -1842,17 +1650,25 @@ class DisaggregatedStore(PlasmaStore):
                 self.delete_object_task(object_id),
                 name=f"delete:{self._name}",
             )
-            return
+        else:
+            run_inline(self._delete_object(object_id))
+
+    def delete_object_task(self, object_id: ObjectID, attr=None):
+        """Task form of delete: the local unlink is instant; the
+        NotifyDeleted fan-out and replica drops run concurrently."""
+        yield from self._delete_object(object_id, attr, inline=False)
+
+    def _delete_object(self, object_id: ObjectID, attr=None, inline=True):
         super().delete_object(object_id)
         self._retract_from_directory(object_id)
-        self._broadcast_deleted(object_id)
-        self._drop_remote_replicas(object_id)
+        yield from self._broadcast_deleted(object_id, attr, inline)
+        yield from self._drop_remote_replicas(object_id, attr, inline)
         self._replicas_of.pop(object_id, None)
 
     def _evict_entry(self, entry: ObjectEntry) -> None:
         super()._evict_entry(entry)
         self._retract_from_directory(entry.object_id)
-        self._broadcast_deleted(entry.object_id)
+        run_inline(self._broadcast_deleted(entry.object_id))
 
     # -- remote subscriptions (cross-node notification relay) ----------------------------
 

@@ -21,7 +21,7 @@ counter family at scrape time — binding costs nothing per increment.
 Disabled mode is the default and is genuinely zero-overhead: components
 hold ``None`` instrument handles until ``attach_metrics`` is called, and
 every instrumented site guards with ``if self._m_x is not None`` — the same
-pattern the opt-in :class:`~repro.common.trace.Tracer` uses. Nothing here
+pattern the opt-in span sink (:mod:`repro.obs.spans`) uses. Nothing here
 ever advances the simulated clock or consumes deterministic RNG, so a run
 with metrics enabled is bit-identical in simulated time to one without.
 :data:`NULL_REGISTRY` is an explicit no-op registry for call sites that

@@ -31,7 +31,7 @@ Independently of sampling, every finished span also lands in a per-node
 :class:`FlightRecorder` — a bounded ring of the most recent spans, dumped
 post-mortem when a simtest oracle violation or a chaos determinism diff
 fires, so the shrunk reproducer ships with the events leading up to the
-failure. The same ring backs the legacy ``Tracer(ring=True)`` mode.
+failure.
 
 Like the metrics plane, everything is opt-in: components hold ``None``
 handles when tracing is off (a single ``is None`` test on the hot path),
@@ -149,11 +149,10 @@ class SpanRecord:
 class FlightRecorder:
     """Bounded ring of the most recent recorded events.
 
-    The post-mortem primitive shared by the spans plane (one ring per
-    node) and the legacy ``Tracer(ring=True)`` mode: appends past capacity
-    evict the oldest event and bump ``dropped``, so a dump always holds
-    the events *leading up to* a failure rather than the boot sequence,
-    with truncation visible rather than silent.
+    The spans plane's post-mortem primitive (one ring per node): appends
+    past capacity evict the oldest event and bump ``dropped``, so a dump
+    always holds the events *leading up to* a failure rather than the boot
+    sequence, with truncation visible rather than silent.
     """
 
     __slots__ = ("_ring", "dropped")
@@ -167,11 +166,6 @@ class FlightRecorder:
     @property
     def capacity(self) -> int:
         return self._ring.maxlen
-
-    @property
-    def ring(self) -> deque:
-        """The backing deque (read path for the legacy Tracer adapter)."""
-        return self._ring
 
     def record(self, event) -> None:
         if len(self._ring) == self._ring.maxlen:
@@ -294,6 +288,22 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+
+def maybe_span(sink, category: str, name: str, node: str = "", **args):
+    """``sink.span(...)``, or an inert span when *sink* is None: the one
+    span hook every layer wraps its work in, so tracing off costs a
+    ``None`` test."""
+    if sink is None:
+        return _NULL_SPAN
+    return sink.span(category, name, node, **args)
+
+
+def maybe_component(sink, name: str):
+    """``sink.component(name)``, or an inert context when *sink* is None."""
+    if sink is None:
+        return _NULL_SPAN
+    return sink.component(name)
 
 
 class _ComponentOverride:
@@ -516,8 +526,8 @@ class SpanSink:
 
     def to_chrome_trace(self) -> dict:
         """Chrome trace-event JSON over the retained traces (complete 'X'
-        events, microsecond timestamps, one pid per node) — the same shape
-        the legacy Tracer exports, loadable in Perfetto."""
+        events, microsecond timestamps, one pid per node), loadable in
+        Perfetto."""
         events = []
         for trace in self._traces:
             for span in trace["spans"]:

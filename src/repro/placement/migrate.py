@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from repro.common.errors import RpcStatusError
 from repro.common.ids import ObjectID
 from repro.obs.metrics import CounterGroup
+from repro.obs.spans import maybe_span
 from repro.rpc.overload import DeadlineBudget
 from repro.rpc.status import StatusCode
 
@@ -60,9 +61,8 @@ class MigrationResult:
 class MigrationEngine:
     """Source-driven executor of the prepare/commit protocol."""
 
-    def __init__(self, clock, *, tracer=None, spans=None):
+    def __init__(self, clock, *, spans=None):
         self._clock = clock
-        self._tracer = tracer
         self.spans = spans
         self.counters = CounterGroup()
         self._m_latency = None
@@ -99,24 +99,20 @@ class MigrationEngine:
         (``rebalance``, or the tier engine's ``promote``/``demote``) in the
         span annotation and the per-reason counters.
         """
-        if self.spans is not None:
-            with self.spans.span(
-                "migrate",
-                "migrate",
-                node=source_store.name,
-                dest=dest_name,
-                object_id=str(object_id),
-                reason=reason,
-            ) as sp:
-                result = self._migrate_inner(source_store, dest_name, object_id)
-                sp.annotate(status=result.status, bytes=result.bytes_moved)
-                if result.moved:
-                    self.counters.inc(f"migrations_{reason}")
-                return result
-        result = self._migrate_inner(source_store, dest_name, object_id)
-        if result.moved:
-            self.counters.inc(f"migrations_{reason}")
-        return result
+        with maybe_span(
+            self.spans,
+            "migrate",
+            "migrate",
+            node=source_store.name,
+            dest=dest_name,
+            object_id=str(object_id),
+            reason=reason,
+        ) as sp:
+            result = self._migrate_inner(source_store, dest_name, object_id)
+            sp.annotate(status=result.status, bytes=result.bytes_moved)
+            if result.moved:
+                self.counters.inc(f"migrations_{reason}")
+            return result
 
     def _migrate_inner(
         self, source_store, dest_name: str, object_id: ObjectID

@@ -107,14 +107,11 @@ class PlasmaStore:
         self._header_size = HEADER_SIZE if config.integrity_headers else 0
         self._next_generation = 1
         self.counters = CounterGroup()
-        # Optional simulated-time tracer (set by the cluster builder when
-        # tracing is requested); hot paths guard on it being None.
-        self.tracer = None
         # Optional span sink (repro.obs.spans), set by the cluster builder
-        # when distributed tracing is requested.
+        # when distributed tracing is requested; hot paths guard on None.
         self.spans = None
         # Optional per-operation correlation context (see repro.obs); set
-        # by the cluster builder alongside the tracer.
+        # by the cluster builder alongside the span sink.
         self.correlation = None
         # Pre-resolved latency-histogram children; None until
         # attach_metrics, so the disabled hot path is one `is None` check.

@@ -16,8 +16,10 @@ deterministic**:
   coalescing of id-list RPCs into batched wire messages
   (:class:`CoalescingBuffer`), and chunked streaming pulls.
 
-Sync callers never touch this package — ``rpc_mode="sync"`` preserves the
-one-in-flight semantics (and every standing BENCH/TRACE artifact) exactly.
+Each operation has one body, a generator: the event loop runs it as a task
+in async mode, and ``rpc_mode="sync"`` drives it with :func:`run_inline`,
+where every RPC is a blocking call — preserving the one-in-flight
+semantics (and every standing BENCH/TRACE artifact) exactly.
 """
 
 from repro.rpc.aio.loop import (
@@ -27,6 +29,7 @@ from repro.rpc.aio.loop import (
     Sleep,
     Task,
     TaskAttribution,
+    run_inline,
 )
 from repro.rpc.aio.batch import CoalescingBuffer, BATCHABLE_METHODS
 from repro.rpc.aio.channel import AsyncChannel
@@ -39,6 +42,7 @@ __all__ = [
     "Sleep",
     "Task",
     "TaskAttribution",
+    "run_inline",
     "CoalescingBuffer",
     "BATCHABLE_METHODS",
     "AsyncChannel",

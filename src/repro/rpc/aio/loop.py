@@ -327,6 +327,22 @@ class EventLoop:
         return ran
 
 
+def run_inline(gen: Generator):
+    """Drive an operation body to completion without the loop.
+
+    Every op has one body, a generator. ``rpc_mode="sync"`` runs it through
+    this driver: inline, its RPCs are blocking stub calls, so the body never
+    suspends. A yield here is a programming error and raises at once (a
+    ``RuntimeError``, never swallowed as an op failure) instead of hanging.
+    """
+    try:
+        awaited = gen.send(None)
+    except StopIteration as stop:
+        return stop.value
+    gen.close()
+    raise RuntimeError(f"an inline-driven operation yielded {awaited!r}")
+
+
 class TaskAttribution:
     """ns-exact latency attribution for one logical op run as a task tree.
 

@@ -39,6 +39,7 @@ from repro.common.errors import RpcError, RpcStatusError, ServerOverloadedError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import Distribution
 from repro.obs.metrics import CounterGroup
+from repro.obs.spans import maybe_component, maybe_span
 from repro.rpc.codec import decode_message, encode_message
 from repro.rpc.overload import RetryBudget
 from repro.rpc.server import RpcServer
@@ -66,7 +67,6 @@ class Channel:
         clock: SimClock,
         config: RpcConfig,
         rng: DeterministicRng,
-        tracer=None,
         *,
         spans=None,
         breaker=None,
@@ -78,7 +78,6 @@ class Channel:
         self._clock = clock
         self._config = config
         self._rng = rng.spawn("rpc", local_host, server.host)
-        self._tracer = tracer
         self._spans = spans
         self._breaker = breaker
         self._chaos = chaos
@@ -245,18 +244,8 @@ class Channel:
         track = self._latency is not None or self._config.hedge_quantile > 0
         start_ns = self._clock.now_ns if track else 0
         try:
-            if self._spans is not None:
-                with self._spans.span(
-                    "rpc",
-                    f"{service}.{method}",
-                    node=f"{self._local_host}->{self._server.host}",
-                    **self._span_args(),
-                ):
-                    response = self._unary_call_traced(
-                        service, method, request, deadline
-                    )
-            else:
-                response = self._unary_call_traced(
+            with self._span(service, method):
+                response = self._unary_call_inner(
                     service, method, request, deadline
                 )
         except RpcStatusError as exc:
@@ -270,28 +259,17 @@ class Channel:
         self._breaker_record(None)
         return response
 
-    def _span_args(self) -> dict:
+    def _span(self, service: str, method: str):
+        """The channel's span hook: one ``rpc`` span per call, tagged with
+        the caller's request id."""
         rid = self._correlation.current if self._correlation is not None else None
-        return {} if rid is None else {"rid": rid}
-
-    def _unary_call_traced(
-        self,
-        service: str,
-        method: str,
-        request: dict | None,
-        deadline_ns: float | None,
-    ) -> dict:
-        """The legacy-tracer wrapper layer, kept separate so the span-sink
-        and tracer instrumentation nest without duplicating the call."""
-        if self._tracer is not None:
-            with self._tracer.span(
-                "rpc",
-                f"{service}.{method}",
-                track=f"{self._local_host}->{self._server.host}",
-                **self._span_args(),
-            ):
-                return self._unary_call_inner(service, method, request, deadline_ns)
-        return self._unary_call_inner(service, method, request, deadline_ns)
+        return maybe_span(
+            self._spans,
+            "rpc",
+            f"{service}.{method}",
+            node=f"{self._local_host}->{self._server.host}",
+            **({} if rid is None else {"rid": rid}),
+        )
 
     def _charge_retry(
         self, cost_ns: float, start_ns: int, deadline_ns: float | None
@@ -299,10 +277,7 @@ class Channel:
         """Charge *cost_ns* attributed to the retry component: backoff
         intervals and the transport cost of repeat attempts are retry
         amplification, not useful service time."""
-        if self._spans is not None:
-            with self._spans.component("retry"):
-                self._advance_within_deadline(cost_ns, start_ns, deadline_ns)
-        else:
+        with maybe_component(self._spans, "retry"):
             self._advance_within_deadline(cost_ns, start_ns, deadline_ns)
 
     def _observe_latency(self, method: str, start_ns: int) -> None:
@@ -489,17 +464,7 @@ class Channel:
         deadline = self._effective_deadline(deadline_ns)
         start_ns = self._clock.now_ns if self._latency is not None else 0
         try:
-            if self._spans is not None:
-                with self._spans.span(
-                    "rpc",
-                    f"{service}.{method}",
-                    node=f"{self._local_host}->{self._server.host}",
-                    **self._span_args(),
-                ):
-                    responses = self._stream_call_inner(
-                        service, method, requests, deadline
-                    )
-            else:
+            with self._span(service, method):
                 responses = self._stream_call_inner(
                     service, method, requests, deadline
                 )

@@ -21,6 +21,7 @@ from repro.common.errors import (
     RpcError,
 )
 from repro.obs.metrics import CounterGroup
+from repro.obs.spans import maybe_span
 from repro.rpc.codec import decode_message, encode_message
 from repro.rpc.service import Service
 from repro.rpc.status import StatusCode
@@ -42,11 +43,9 @@ class RpcServer:
         self._services: dict[str, dict[str, object]] = {}
         self._shutdown = False
         self.counters = CounterGroup()
-        # Opt-in observability, set by the cluster builder: a tracer and a
-        # span sink plus clock for server-side dispatch spans, and a
-        # pre-bound latency histogram. All default off; dispatch keeps a
-        # fast path.
-        self.tracer = None
+        # Opt-in observability, set by the cluster builder: a span sink
+        # plus clock for server-side dispatch spans, and a pre-bound
+        # latency histogram. All default off; dispatch keeps a fast path.
         self.spans = None
         self.clock = None
         self._latency = None
@@ -142,37 +141,35 @@ class RpcServer:
             decision = self.overload.admit(self.clock.now_ns, deadline_ns)
             if not decision.admitted:
                 self.counters.inc("calls_shed")
-                if self.spans is not None:
-                    # Zero-duration marker: the shed is visible in the
-                    # flight recorder next to the queue state it saw.
-                    with self.spans.span(
-                        "queue",
-                        "shed",
-                        node=self._host,
-                        reason=decision.reason,
-                        queue_len=decision.queue_len,
-                    ):
-                        pass
+                # Zero-duration marker: the shed is visible in the flight
+                # recorder next to the queue state it saw.
+                with maybe_span(
+                    self.spans,
+                    "queue",
+                    "shed",
+                    node=self._host,
+                    reason=decision.reason,
+                    queue_len=decision.queue_len,
+                ):
+                    pass
                 return StatusCode.RESOURCE_EXHAUSTED, b"", decision.detail
             if decision.delay_ns > 0:
                 # Queueing delay: the request sat in the bounded queue
                 # before its handler ran. Charged here so it lands inside
                 # the client's observed call latency.
-                if self.spans is not None:
-                    with self.spans.span(
-                        "queue",
-                        "wait",
-                        node=self._host,
-                        queue_len=decision.queue_len,
-                    ):
-                        self.clock.advance(decision.delay_ns)
-                else:
+                with maybe_span(
+                    self.spans,
+                    "queue",
+                    "wait",
+                    node=self._host,
+                    queue_len=decision.queue_len,
+                ):
                     self.clock.advance(decision.delay_ns)
         try:
             request = decode_message(request_wire)
         except RpcError as exc:
             return StatusCode.INVALID_ARGUMENT, b"", str(exc)
-        if self.tracer is None and self.spans is None and self._latency is None:
+        if self.spans is None and self._latency is None:
             status, response, detail = self.dispatch(service, method, request)
         else:
             status, response, detail = self._dispatch_observed(
@@ -200,28 +197,20 @@ class RpcServer:
             args["rid"] = correlation_id
         exemplar = None
         try:
-            if self.spans is not None:
-                with self.spans.span(
-                    "rpc.server", f"{service}.{method}", node=self._host, **args
-                ) as sp:
-                    exemplar = sp.span_id
-                    return self._dispatch_traced(service, method, request, args)
-            return self._dispatch_traced(service, method, request, args)
+            with maybe_span(
+                self.spans,
+                "rpc.server",
+                f"{service}.{method}",
+                node=self._host,
+                **args,
+            ) as sp:
+                exemplar = sp.span_id
+                return self.dispatch(service, method, request)
         finally:
             if self._latency is not None and self.clock is not None:
                 self._latency.labels(method=f"{service}.{method}").observe(
                     self.clock.now_ns - start_ns, exemplar=exemplar
                 )
-
-    def _dispatch_traced(
-        self, service: str, method: str, request: dict, args: dict
-    ) -> tuple[StatusCode, dict | None, str]:
-        if self.tracer is not None:
-            with self.tracer.span(
-                "rpc.server", f"{service}.{method}", track=self._host, **args
-            ):
-                return self.dispatch(service, method, request)
-        return self.dispatch(service, method, request)
 
     def dispatch(self, service: str, method: str, request: dict) -> tuple[StatusCode, dict | None, str]:
         """Dispatch a decoded request; maps handler exceptions to statuses."""

@@ -62,7 +62,6 @@ class OpenCapiLink:
         self._bandwidth_factor = 1.0
         self._latency_factor = 1.0
         # Opt-in observability, set by the cluster builder.
-        self.tracer = None
         self.spans = None
         self.correlation = None
         self._m_read = None
@@ -140,30 +139,22 @@ class OpenCapiLink:
 
     def charge_stream_read(self, nbytes: int) -> float:
         """Bulk remote read of *nbytes*; returns charged ns."""
-        if self.tracer is not None or self.spans is not None:
-            cost = self._charge_observed(nbytes, "read", self._charge_stream_read)
-        else:
-            cost = self._charge_stream_read(nbytes)
+        cost = self._charge_observed(nbytes, "read", self._charge_stream_read)
         if self._m_read is not None:
             self._m_read.observe(cost)
         return cost
 
     def _charge_observed(self, nbytes: int, op: str, inner) -> float:
-        """Wrap a transfer in fabric spans (legacy tracer and/or span sink)."""
+        """The fabric layer's span hook: a transfer runs inside a
+        ``fabric`` span when a span sink is attached."""
+        if self.spans is None:
+            return inner(nbytes)
         args = {"bytes": nbytes}
         rid = self.correlation.current if self.correlation else None
         if rid is not None:
             args["rid"] = rid
-        if self.spans is not None:
-            with self.spans.span("fabric", op, node=self.link_name, **args):
-                return self._charge_legacy_traced(nbytes, op, inner, args)
-        return self._charge_legacy_traced(nbytes, op, inner, args)
-
-    def _charge_legacy_traced(self, nbytes: int, op: str, inner, args: dict) -> float:
-        if self.tracer is not None:
-            with self.tracer.span("fabric", op, track=self.link_name, **args):
-                return inner(nbytes)
-        return inner(nbytes)
+        with self.spans.span("fabric", op, node=self.link_name, **args):
+            return inner(nbytes)
 
     def _charge_stream_read(self, nbytes: int) -> float:
         self._gate()
@@ -181,10 +172,7 @@ class OpenCapiLink:
         return cost
 
     def charge_stream_write(self, nbytes: int) -> float:
-        if self.tracer is not None or self.spans is not None:
-            cost = self._charge_observed(nbytes, "write", self._charge_stream_write)
-        else:
-            cost = self._charge_stream_write(nbytes)
+        cost = self._charge_observed(nbytes, "write", self._charge_stream_write)
         if self._m_write is not None:
             self._m_write.observe(cost)
         return cost

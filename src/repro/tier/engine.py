@@ -18,7 +18,7 @@ does exactly that before its final converge-and-sweep oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.ids import ObjectID
 from repro.obs.metrics import CounterGroup
@@ -35,26 +35,6 @@ class TierTickReport:
     demoted_bytes: int
     aborted: int
     retired: int
-
-
-@dataclass(frozen=True)
-class TierConvergenceReport:
-    ticks: int
-    promoted_objects: int
-    promoted_bytes: int
-    demoted_objects: int
-    demoted_bytes: int
-    converged: bool
-    tick_reports: tuple[TierTickReport, ...] = field(default=())
-
-    def describe(self) -> str:
-        state = "converged" if self.converged else "NOT converged"
-        return (
-            f"{state} after {self.ticks} tick(s): "
-            f"{self.promoted_objects} promoted "
-            f"({self.promoted_bytes} B), {self.demoted_objects} demoted "
-            f"({self.demoted_bytes} B)"
-        )
 
 
 class TierEngine:
@@ -315,46 +295,4 @@ class TierEngine:
             demoted_bytes=demoted_bytes,
             aborted=aborted,
             retired=retired,
-        )
-
-    def run_until_converged(
-        self, *, max_ticks: int = 10_000, keep_reports: bool = False
-    ) -> TierConvergenceReport:
-        """Tick until no promotion or demotion is wanted (heat decays on
-        the advancing clock, so promotion pressure drains by itself), or
-        until three consecutive ticks make no progress."""
-        promoted = promoted_bytes = demoted = demoted_bytes = 0
-        reports: list[TierTickReport] = []
-        ticks = 0
-        stalled = 0
-        while ticks < max_ticks:
-            if not self.promotion_plan() and not self.demotion_plan():
-                break
-            report = self.tick()
-            ticks += 1
-            promoted += report.promoted_objects
-            promoted_bytes += report.promoted_bytes
-            demoted += report.demoted_objects
-            demoted_bytes += report.demoted_bytes
-            if keep_reports:
-                reports.append(report)
-            if (
-                report.promoted_objects == 0
-                and report.demoted_objects == 0
-                and report.retired == 0
-            ):
-                stalled += 1
-                if stalled >= 3:
-                    break
-            else:
-                stalled = 0
-        converged = not self.promotion_plan() and not self.demotion_plan()
-        return TierConvergenceReport(
-            ticks=ticks,
-            promoted_objects=promoted,
-            promoted_bytes=promoted_bytes,
-            demoted_objects=demoted,
-            demoted_bytes=demoted_bytes,
-            converged=converged,
-            tick_reports=tuple(reports),
         )

@@ -20,6 +20,7 @@ generation keying at lookup time.
 from __future__ import annotations
 
 from repro.common.errors import ObjectStoreError
+from repro.obs.spans import maybe_span
 from repro.plasma.buffer import RemoteBufferSource, RemoteReadIntegrity
 
 
@@ -62,13 +63,10 @@ class CachedBufferSource:
 
     def timed_read(self, offset: int, size: int, out=None) -> float:
         cost_ns = self._agent.hit_cost.cost_ns(size)
-        spans = self._store.spans
-        if spans is not None:
-            with spans.span(
-                "cache", "hit", node=self._store.node, nbytes=size
-            ):
-                self._store.clock.advance(cost_ns)
-        else:
+        with maybe_span(
+            self._store.spans, "cache", "hit", node=self._store.node,
+            nbytes=size,
+        ):
             self._store.clock.advance(cost_ns)
         if self._link is not None:
             # The fabric stream this serve replaced would have carried the
@@ -146,13 +144,10 @@ class TierBufferSource:
         payload = cache.lookup(object_id, generation)
         if payload is not None:
             cost_ns = self._agent.hit_cost.cost_ns(size)
-            spans = self._store.spans
-            if spans is not None:
-                with spans.span(
-                    "cache", "hit", node=self._store.node, nbytes=size
-                ):
-                    self._store.clock.advance(cost_ns)
-            else:
+            with maybe_span(
+                self._store.spans, "cache", "hit", node=self._store.node,
+                nbytes=size,
+            ):
                 self._store.clock.advance(cost_ns)
             # The fabric stream this hit replaced would have carried the
             # payload plus the validation header.

@@ -36,7 +36,7 @@ from repro.common.units import MiB
 from repro.core.cluster import Cluster
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import BASE_COMPONENTS, LEGACY_COMPONENTS, SpanConfig
-from repro.rpc.aio.loop import Sleep, TaskAttribution
+from repro.rpc.aio.loop import Sleep, TaskAttribution, run_inline
 from repro.workload.admission import AdmissionController, TenantQuota
 from repro.workload.arrival import closed_loop_next
 from repro.workload.report import build_workload_payload
@@ -310,19 +310,30 @@ class ScenarioRunner:
                     return name
         return None
 
-    def _delete_slot(self, slot: int) -> bool:
+    # Each op kind has one body, a generator. The sync runner drives it
+    # inline (``attr`` is None and every call blocks); the async runner
+    # runs it as an event-loop task that yields its transport waits, so
+    # many ops overlap in simulated time, and carries per-task latency
+    # attribution in ``attr`` (queue → client → service → fabric settle
+    # points, pipeline/retry/hedge waits hinted by children).
+
+    def _delete_slot(self, slot: int, attr):
         state = self._slots.pop(slot, None)
         if state is None:
             return False
         oid = ObjectID.from_int(state.oid_int)
         holder = self._find_holder(oid)
         if holder is not None:
-            self.cluster.store(holder).delete_object(oid)
+            store = self.cluster.store(holder)
+            if attr is None:
+                store.delete_object(oid)
+            else:
+                yield from store.delete_object_task(oid, attr)
         self.admission.record_stored(state.tenant, -state.size)
         self.result.bytes_deleted += state.size
         return True
 
-    def _do_read(self, op: WorkloadOp) -> str:
+    def _do_read(self, op: WorkloadOp, attr):
         state = self._slots.get(op.slot)
         if state is None:
             return "miss"
@@ -337,13 +348,21 @@ class ScenarioRunner:
             cache = agent.cache if agent is not None else None
             if cache is not None:
                 cache.last_served = None
-        buffers = client.get([oid], allow_missing=True)
+        if attr is None:
+            buffers = client.get([oid], allow_missing=True)
+        else:
+            buffers = yield from client.get_task(
+                [oid], allow_missing=True, attr=attr
+            )
+            attr.settle("service")
         if buffers[0] is None:
             return "miss"
         try:
             data = buffers[0].read_all()
         finally:
             client.release(oid)
+        if attr is not None:
+            attr.settle("fabric")
         if self._read_stats is not None:
             # Only remote reads are cache-eligible: a home-local get never
             # consults the cache and would dilute the hit rate it reports.
@@ -363,122 +382,23 @@ class ScenarioRunner:
         self._m_bytes.labels(tenant=op.tenant, direction="read").inc(len(data))
         return "ok"
 
-    def _do_write(self, op: WorkloadOp) -> str:
-        self._delete_slot(op.slot)
-        oid = self._fresh_oid()
-        self._client(op.seq).put_bytes(
-            oid,
-            payload_for(op.slot, self._next_oid, op.size_bytes),
-            replicas=self.scenario.cluster.replicas,
-        )
-        self._slots[op.slot] = _Slot(self._next_oid, op.size_bytes, op.tenant)
-        self.admission.record_stored(op.tenant, op.size_bytes)
-        self.result.bytes_written += op.size_bytes
-        self._m_bytes.labels(tenant=op.tenant, direction="write").inc(
-            op.size_bytes
-        )
-        return "ok"
-
-    def _do_delete(self, op: WorkloadOp) -> str:
-        return "ok" if self._delete_slot(op.slot) else "miss"
-
-    def _do_scan(self, op: WorkloadOp) -> str:
-        n_slots = self.scenario.population.objects
-        oids = []
-        for offset in range(self.scenario.traffic.scan_length):
-            state = self._slots.get((op.slot + offset) % n_slots)
-            if state is not None:
-                oids.append(ObjectID.from_int(state.oid_int))
-        if not oids:
-            return "empty"
-        client = self._client(op.seq)
-        buffers = client.get(oids, allow_missing=True)
-        read = 0
-        for oid, buffer in zip(oids, buffers):
-            if buffer is None:
-                continue
-            try:
-                read += len(buffer.read_all())
-            finally:
-                client.release(oid)
-        self.result.bytes_read += read
-        self._m_bytes.labels(tenant=op.tenant, direction="read").inc(read)
-        return "ok"
-
-    # ------------------------------------------------------------------ async ops
-    #
-    # The event-loop twins of the _do_* bodies above: each op runs as one
-    # task, yielding its transport waits to the loop so many ops overlap in
-    # simulated time. Resolution goes through the client task plane —
-    # multi_get/get/put/delete tasks with coalesced per-peer lookups — and
-    # latency attribution rides per task (queue → client → service →
-    # fabric settle points, pipeline/retry/hedge waits hinted by children).
-
-    def _delete_slot_task(self, slot: int, attr):
-        state = self._slots.pop(slot, None)
-        if state is None:
-            return False
-        oid = ObjectID.from_int(state.oid_int)
-        holder = self._find_holder(oid)
-        if holder is not None:
-            yield from self.cluster.store(holder).delete_object_task(oid, attr)
-        self.admission.record_stored(state.tenant, -state.size)
-        self.result.bytes_deleted += state.size
-        return True
-
-    def _do_read_task(self, op: WorkloadOp, attr):
-        state = self._slots.get(op.slot)
-        if state is None:
-            return "miss"
-        client = self._client(op.seq)
-        oid = ObjectID.from_int(state.oid_int)
-        cache = None
-        if self._read_stats is not None:
-            agent = client.store.tier_agent
-            cache = agent.cache if agent is not None else None
-            if cache is not None:
-                cache.last_served = None
-        buffers = yield from client.get_task([oid], allow_missing=True,
-                                             attr=attr)
-        attr.settle("service")
-        if buffers[0] is None:
-            return "miss"
-        try:
-            data = buffers[0].read_all()
-        finally:
-            client.release(oid)
-        attr.settle("fabric")
-        if self._read_stats is not None:
-            remote = buffers[0].is_remote
-            hit = (
-                cache is not None
-                and cache.last_served is not None
-                and cache.last_served[0] == oid
-            )
-            reads, remotes, hits = self._read_stats.get(op.slot, (0, 0, 0))
-            self._read_stats[op.slot] = (
-                reads + 1,
-                remotes + int(remote),
-                hits + int(hit),
-            )
-        self.result.bytes_read += len(data)
-        self._m_bytes.labels(tenant=op.tenant, direction="read").inc(len(data))
-        return "ok"
-
-    def _do_write_task(self, op: WorkloadOp, attr):
-        yield from self._delete_slot_task(op.slot, attr)
+    def _do_write(self, op: WorkloadOp, attr):
+        yield from self._delete_slot(op.slot, attr)
         oid = self._fresh_oid()
         # Concurrent writes keep allocating ids while this task is
         # suspended, so pin this object's id now rather than re-reading
         # the allocator after the put completes.
         oid_int = self._next_oid
-        yield from self._client(op.seq).put_bytes_task(
-            oid,
-            payload_for(op.slot, oid_int, op.size_bytes),
-            replicas=self.scenario.cluster.replicas,
-            attr=attr,
-        )
-        attr.settle("service")
+        client = self._client(op.seq)
+        payload = payload_for(op.slot, oid_int, op.size_bytes)
+        replicas = self.scenario.cluster.replicas
+        if attr is None:
+            client.put_bytes(oid, payload, replicas=replicas)
+        else:
+            yield from client.put_bytes_task(
+                oid, payload, replicas=replicas, attr=attr
+            )
+            attr.settle("service")
         self._slots[op.slot] = _Slot(oid_int, op.size_bytes, op.tenant)
         self.admission.record_stored(op.tenant, op.size_bytes)
         self.result.bytes_written += op.size_bytes
@@ -487,12 +407,13 @@ class ScenarioRunner:
         )
         return "ok"
 
-    def _do_delete_task(self, op: WorkloadOp, attr):
-        deleted = yield from self._delete_slot_task(op.slot, attr)
-        attr.settle("service")
+    def _do_delete(self, op: WorkloadOp, attr):
+        deleted = yield from self._delete_slot(op.slot, attr)
+        if attr is not None:
+            attr.settle("service")
         return "ok" if deleted else "miss"
 
-    def _do_scan_task(self, op: WorkloadOp, attr):
+    def _do_scan(self, op: WorkloadOp, attr):
         n_slots = self.scenario.population.objects
         oids = []
         for offset in range(self.scenario.traffic.scan_length):
@@ -502,72 +423,28 @@ class ScenarioRunner:
         if not oids:
             return "empty"
         client = self._client(op.seq)
-        # The whole scan is one batched multi-get: a single coalesced
-        # Lookup per peer instead of scan_length unary calls.
-        payloads = yield from client.multi_get_task(
-            oids, allow_missing=True, attr=attr
-        )
-        read = sum(len(p) for p in payloads if p is not None)
+        if attr is None:
+            # Each payload is read, counted and released in turn, so a scan
+            # of MB-sized objects never holds all its payloads at once.
+            buffers = client.get(oids, allow_missing=True)
+            read = 0
+            for oid, buffer in zip(oids, buffers):
+                if buffer is None:
+                    continue
+                try:
+                    read += len(buffer.read_all())
+                finally:
+                    client.release(oid)
+        else:
+            # One batched multi-get: a single coalesced Lookup per peer
+            # instead of scan_length unary calls.
+            payloads = yield from client.multi_get_task(
+                oids, allow_missing=True, attr=attr
+            )
+            read = sum(len(p) for p in payloads if p is not None)
         self.result.bytes_read += read
         self._m_bytes.labels(tenant=op.tenant, direction="read").inc(read)
         return "ok"
-
-    def _op_task(self, op: WorkloadOp, issue_ns: int):
-        """One op as an event-loop task — the async twin of
-        ``_execute``/``_execute_inner``, identical bookkeeping."""
-        clock = self.cluster.clock
-        result = self.result
-        self._maybe_burst()
-        if (
-            self._shed_expired_ingress
-            and clock.now_ns - issue_ns >= result.op_deadline_ns
-        ):
-            result.executed_ops += 1
-            result.outcomes["shed:expired"] = (
-                result.outcomes.get("shed:expired", 0) + 1
-            )
-            result.overload_client["ingress_shed"] = (
-                result.overload_client.get("ingress_shed", 0) + 1
-            )
-            self._m_ops.labels(
-                tenant=op.tenant, kind=op.kind, outcome="shed:expired"
-            ).inc()
-            return
-        try:
-            self.admission.admit(
-                op.tenant, op.kind, op.size_bytes, clock.now_ns
-            )
-        except AdmissionRejectedError as exc:
-            outcome = f"rejected:{exc.reason}"
-            self._m_ops.labels(
-                tenant=op.tenant, kind=op.kind, outcome=outcome
-            ).inc()
-            result.outcomes[outcome] = result.outcomes.get(outcome, 0) + 1
-            return
-        attr = TaskAttribution(clock, issue_ns)
-        # Between the op's scheduled arrival and the task actually starting
-        # the loop may have been busy with other ops: that is queueing.
-        attr.settle("queue")
-        try:
-            outcome = yield from getattr(self, f"_do_{op.kind}_task")(op, attr)
-        except ReproError as exc:
-            outcome = f"error:{type(exc).__name__}"
-        attr.settle("client")
-        latency = clock.now_ns - issue_ns
-        result.executed_ops += 1
-        if outcome == "ok" and (
-            result.op_deadline_ns <= 0 or latency <= result.op_deadline_ns
-        ):
-            result.in_deadline_ops += 1
-        result.outcomes[outcome] = result.outcomes.get(outcome, 0) + 1
-        result.latency_overall.add(latency)
-        result.latency_by_kind.setdefault(op.kind, Distribution()).add(latency)
-        self._m_ops.labels(tenant=op.tenant, kind=op.kind, outcome=outcome).inc()
-        self._m_latency.labels(tenant=op.tenant, kind=op.kind).observe(latency)
-        if attr.total_ns() != latency:
-            result.attribution_exact = False
-        self._accumulate_attribution(op, latency, attr.components)
-        self._maybe_tier_tick()
 
     # ------------------------------------------------------------------ run
 
@@ -581,9 +458,11 @@ class ScenarioRunner:
             self._next_burst_ns += self._burst_period_ns
 
     def _execute(self, op: WorkloadOp, issue_ns: int) -> None:
+        """One op driven inline (sync mode), attributed by the span plane
+        when tracing is on."""
         spans = self._spans
         if spans is None:
-            self._execute_inner(op, issue_ns)
+            run_inline(self._run_op(op, issue_ns, None))
             return
         clock = self.cluster.clock
         # The op's deadline (and observed latency) is anchored at its
@@ -593,7 +472,7 @@ class ScenarioRunner:
         with spans.span(
             "op", op.kind, node="workload", tenant=op.tenant, slot=op.slot
         ) as sp:
-            latency = self._execute_inner(op, issue_ns)
+            latency = run_inline(self._run_op(op, issue_ns, None))
         if latency is None:
             return  # shed at ingress or rejected: no latency was measured
         if wait > 0:
@@ -604,6 +483,17 @@ class ScenarioRunner:
         if sum(components.values()) != latency:
             self.result.attribution_exact = False
         self._accumulate_attribution(op, latency, components)
+
+    def _op_task(self, op: WorkloadOp, issue_ns: int):
+        """One op as an event-loop task, attributed per task."""
+        attr = TaskAttribution(self.cluster.clock, issue_ns)
+        latency = yield from self._run_op(op, issue_ns, attr)
+        if latency is None:
+            return
+        if attr.total_ns() != latency:
+            self.result.attribution_exact = False
+        self._accumulate_attribution(op, latency, attr.components)
+        self._maybe_tier_tick()
 
     def _accumulate_attribution(
         self, op: WorkloadOp, observed, components: dict
@@ -636,9 +526,11 @@ class ScenarioRunner:
                 if component in bucket or value:
                     bucket[component] = bucket.get(component, 0) + value
 
-    def _execute_inner(self, op: WorkloadOp, issue_ns: int):
-        """Run one op; returns the measured latency (ns), or ``None`` when
-        the op was shed/rejected before reaching the cluster."""
+    def _run_op(self, op: WorkloadOp, issue_ns: int, attr):
+        """The one body of an op, sync or async: ingress shedding,
+        admission, the kind's body and the measurements. Returns the
+        latency (ns), or ``None`` when the op was shed or rejected before
+        reaching the cluster."""
         clock = self.cluster.clock
         result = self.result
         self._maybe_burst()
@@ -674,10 +566,17 @@ class ScenarioRunner:
             ).inc()
             result.outcomes[outcome] = result.outcomes.get(outcome, 0) + 1
             return None
+        if attr is not None:
+            # Between the op's scheduled arrival and the task actually
+            # starting the loop may have been busy with other ops: that is
+            # queueing.
+            attr.settle("queue")
         try:
-            outcome = getattr(self, f"_do_{op.kind}")(op)
+            outcome = yield from getattr(self, f"_do_{op.kind}")(op, attr)
         except ReproError as exc:
             outcome = f"error:{type(exc).__name__}"
+        if attr is not None:
+            attr.settle("client")
         latency = clock.now_ns - issue_ns
         result.executed_ops += 1
         if outcome == "ok" and (

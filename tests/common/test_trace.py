@@ -1,91 +1,108 @@
-"""Tracer: spans over simulated time, summaries, Chrome export."""
+"""Simulated-time tracing through the span sink: spans, the bounded flight
+ring, retention stats, Chrome export, and the cluster wiring."""
 
 import json
 
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.trace import TraceEvent, Tracer
+from repro.common.rng import DeterministicRng
+from repro.obs.spans import SpanConfig, SpanSink
+
+
+def make_sink(**cfg) -> tuple[SimClock, SpanSink]:
+    clock = SimClock()
+    sink = SpanSink(
+        clock, DeterministicRng(3).spawn("obs", "spans"), SpanConfig(**cfg)
+    )
+    return clock, sink
 
 
 @pytest.fixture
 def setup():
-    clock = SimClock()
-    return clock, Tracer(clock)
+    return make_sink()
+
+
+def all_spans(sink):
+    return [span for trace in sink.traces() for span in trace["spans"]]
 
 
 class TestSpans:
     def test_span_measures_simulated_time(self, setup):
-        clock, tracer = setup
-        with tracer.span("cat", "op"):
+        clock, sink = setup
+        with sink.span("cat", "op"):
             clock.advance(1234)
-        (event,) = tracer.events()
-        assert event.duration_ns == 1234
-        assert event.start_ns == 0
-        assert event.category == "cat"
+        (span,) = all_spans(sink)
+        assert span.duration_ns == 1234
+        assert span.start_ns == 0
+        assert span.category == "cat"
 
     def test_nested_spans(self, setup):
-        clock, tracer = setup
-        with tracer.span("outer", "a"):
+        clock, sink = setup
+        with sink.span("outer", "a"):
             clock.advance(10)
-            with tracer.span("inner", "b"):
+            with sink.span("inner", "b"):
                 clock.advance(5)
             clock.advance(10)
-        inner, outer = tracer.events()  # inner exits first
+        inner, outer = all_spans(sink)  # inner closes first
         assert inner.name == "b" and inner.duration_ns == 5
         assert outer.name == "a" and outer.duration_ns == 25
+        assert inner.parent_id == outer.span_id
 
     def test_instant_event(self, setup):
-        clock, tracer = setup
+        clock, sink = setup
         clock.advance(7)
-        tracer.instant("mark", "here", track="n0", extra=1)
-        (event,) = tracer.events()
-        assert event.duration_ns == 0
-        assert event.start_ns == 7
-        assert event.args == {"extra": 1}
+        with sink.span("mark", "here", node="n0", extra=1):
+            pass
+        (span,) = all_spans(sink)
+        assert span.duration_ns == 0
+        assert span.start_ns == 7
+        assert span.args == {"extra": 1}
 
     def test_args_and_track_recorded(self, setup):
-        clock, tracer = setup
-        with tracer.span("rpc", "Lookup", track="a->b", n=5):
+        clock, sink = setup
+        with sink.span("rpc", "Lookup", node="a->b", n=5):
             clock.advance(1)
-        (event,) = tracer.events()
-        assert event.track == "a->b"
-        assert event.args == {"n": 5}
+        (span,) = all_spans(sink)
+        assert span.node == "a->b"
+        assert span.args == {"n": 5}
 
     def test_bounded_capacity(self):
-        clock = SimClock()
-        tracer = Tracer(clock, max_events=3)
+        clock, sink = make_sink(flight_capacity=3)
         for _ in range(5):
-            tracer.instant("x", "y")
-        assert len(tracer) == 3
-        assert tracer.dropped == 2
+            with sink.span("x", "y", node="n0"):
+                clock.advance(1)
+        ring = sink.flight_recorder("n0")
+        assert len(ring) == 3
+        assert ring.dropped == 2
 
     def test_category_filter_and_totals(self, setup):
-        clock, tracer = setup
-        with tracer.span("a", "x"):
+        clock, sink = setup
+        with sink.span("a", "x"):
             clock.advance(10)
-        with tracer.span("b", "y"):
+        with sink.span("b", "y"):
             clock.advance(20)
-        assert len(tracer.events("a")) == 1
-        assert tracer.total_ns("b") == 20
-        assert tracer.total_ns("missing") == 0
+        spans = all_spans(sink)
+        assert [s.name for s in spans if s.category == "a"] == ["x"]
+        assert sum(s.duration_ns for s in spans if s.category == "b") == 20
 
 
 class TestSummaryAndExport:
     def test_summary_aggregates(self, setup):
-        clock, tracer = setup
+        clock, sink = setup
         for _ in range(3):
-            with tracer.span("rpc", "Lookup"):
+            with sink.span("rpc", "Lookup"):
                 clock.advance(100)
-        summary = tracer.summary()
-        assert summary[("rpc", "Lookup")] == {"count": 3, "total_ns": 300}
-        assert "Lookup" in tracer.format_summary()
+        stats = sink.sampling_stats()
+        assert stats["roots"] == 3
+        assert stats["kept_head"] == 3
+        assert [t["duration_ns"] for t in sink.traces()] == [100] * 3
 
     def test_chrome_trace_structure(self, setup):
-        clock, tracer = setup
-        with tracer.span("rpc", "Lookup", track="a->b"):
+        clock, sink = setup
+        with sink.span("rpc", "Lookup", node="a->b"):
             clock.advance(2_000)
-        doc = tracer.to_chrome_trace()
+        doc = sink.to_chrome_trace()
         (event,) = doc["traceEvents"]
         assert event["ph"] == "X"
         assert event["ts"] == 0.0
@@ -93,95 +110,101 @@ class TestSummaryAndExport:
         assert event["pid"] == "a->b"
 
     def test_write_chrome_trace(self, setup, tmp_path):
-        clock, tracer = setup
-        with tracer.span("c", "n"):
+        clock, sink = setup
+        with sink.span("c", "n"):
             clock.advance(1)
         path = tmp_path / "trace.json"
-        tracer.write_chrome_trace(path)
+        sink.write_chrome_trace(path)
         loaded = json.loads(path.read_text())
         assert loaded["traceEvents"]
 
     def test_write_chrome_trace_accepts_pathlib_and_str(self, setup, tmp_path):
-        clock, tracer = setup
-        with tracer.span("c", "n"):
+        clock, sink = setup
+        with sink.span("c", "n"):
             clock.advance(1)
         as_path = tmp_path / "as_path.json"
-        tracer.write_chrome_trace(as_path)  # pathlib.Path
-        tracer.write_chrome_trace(str(tmp_path / "as_str.json"))
+        sink.write_chrome_trace(as_path)  # pathlib.Path
+        sink.write_chrome_trace(str(tmp_path / "as_str.json"))
         for name in ("as_path.json", "as_str.json"):
             assert json.loads((tmp_path / name).read_text())["traceEvents"]
 
     def test_summary_reports_dropped_events(self):
-        clock = SimClock()
-        tracer = Tracer(clock, max_events=2, ring=True)
-        for _ in range(5):
-            tracer.instant("x", "y")
-        assert tracer.dropped == 3
-        summary = tracer.summary()
-        assert summary[("tracer", "dropped")] == {"count": 3, "total_ns": 0}
-        assert "dropped" in tracer.format_summary()
+        # No head sampling; only the slowest root seen so far is kept.
+        clock, sink = make_sink(sample_rate=0.0, tail_percentile=1.0)
+        for ns in (50, 40, 30, 20, 10):
+            with sink.span("x", "y"):
+                clock.advance(ns)
+        stats = sink.sampling_stats()
+        assert stats["kept_tail"] == 1
+        assert stats["discarded"] == 4
+        assert len(sink.traces()) == 1
 
     def test_summary_reports_dropped_in_bounded_mode_too(self):
-        clock = SimClock()
-        tracer = Tracer(clock, max_events=2)  # non-ring overflow
+        clock, sink = make_sink(max_traces=2)
         for _ in range(5):
-            tracer.instant("x", "y")
-        assert tracer.summary()[("tracer", "dropped")]["count"] == 3
+            with sink.span("x", "y"):
+                clock.advance(1)
+        assert len(sink.traces()) == 2
+        assert sink.sampling_stats()["traces_overflowed"] == 3
 
     def test_summary_has_no_dropped_row_when_nothing_dropped(self, setup):
-        clock, tracer = setup
-        tracer.instant("x", "y")
-        assert ("tracer", "dropped") not in tracer.summary()
+        clock, sink = setup
+        with sink.span("x", "y"):
+            clock.advance(1)
+        stats = sink.sampling_stats()
+        assert stats["discarded"] == 0
+        assert stats["traces_overflowed"] == 0
 
 
 class TestClusterIntegration:
     def test_remote_get_produces_rpc_and_store_spans(self, small_config):
         from repro.core import Cluster
 
-        clock_probe = {}
-        # The tracer must share the cluster's clock: construct cluster
-        # first, then attach? No — pass a tracer bound to a fresh clock is
-        # wrong. Cluster builds its own clock, so build tracer after.
-        cluster = Cluster(small_config, n_nodes=2, check_remote_uniqueness=False)
-        tracer = Tracer(cluster.clock)
-        # Rewire post-hoc (the cluster also accepts tracer= at build time;
-        # this covers the manual wiring path).
-        for name in cluster.node_names():
-            cluster.store(name).tracer = tracer
+        cluster = Cluster(
+            small_config, n_nodes=2, check_remote_uniqueness=False, tracing=True
+        )
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
         oid = cluster.new_object_id()
         producer.put_bytes(oid, b"traced")
         consumer.get_one(oid)
-        spans = tracer.events("store")
-        assert any(e.name == "get_buffers" for e in spans)
+        spans = all_spans(cluster.spans)
+        assert any(
+            s.category == "store" and s.name == "get_buffers" for s in spans
+        )
+        assert any(s.category == "rpc" for s in spans)
 
     def test_cluster_builds_with_tracer(self, small_config):
         from repro.core import Cluster
 
-        from repro.common.clock import SimClock
-
-        # The supported path: hand the cluster a tracer over its own clock
-        # by two-phase construction.
-        cluster = Cluster(small_config, n_nodes=2, check_remote_uniqueness=False)
-        assert cluster.tracer is None
+        plain = Cluster(small_config, n_nodes=2, check_remote_uniqueness=False)
+        assert plain.spans is None
+        traced = Cluster(
+            small_config, n_nodes=2, check_remote_uniqueness=False, tracing=True
+        )
+        assert isinstance(traced.spans, SpanSink)
+        assert traced.clock.now_ns == plain.clock.now_ns
 
     def test_rpc_spans_dominate_remote_get(self, small_config):
         """The Fig 6 claim, on a timeline: the gRPC span accounts for most
         of a remote retrieval."""
         from repro.core import Cluster
 
-        cluster = Cluster(small_config, n_nodes=2, check_remote_uniqueness=False)
-        tracer = Tracer(cluster.clock)
-        for name in cluster.node_names():
-            cluster.store(name).tracer = tracer
-            for channel in cluster.node(name).channels.values():
-                channel._tracer = tracer  # noqa: SLF001 — post-hoc wiring
+        cluster = Cluster(
+            small_config, n_nodes=2, check_remote_uniqueness=False, tracing=True
+        )
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
         oid = cluster.new_object_id()
         producer.put_bytes(oid, b"breakdown")
         consumer.get_one(oid)
-        store_total = tracer.total_ns("store")
-        rpc_total = tracer.total_ns("rpc")
+        spans = all_spans(cluster.spans)
+        store_total = sum(
+            s.duration_ns for s in spans if s.category == "store"
+        )
+        rpc_total = sum(
+            s.duration_ns
+            for s in spans
+            if s.category == "rpc" and "Lookup" in s.name
+        )
         assert rpc_total > 0.8 * store_total  # lookup time ~= RPC time

@@ -1,9 +1,8 @@
 """Correlation-id propagation: unit tests for CorrelationContext plus an
-end-to-end check that a single remote Get carries one request id through
-the client span, the RPC client/server spans, and the deferred fabric
-read."""
+end-to-end check, on the span sink's spans, that a single remote Get
+carries one request id through the client span, the RPC client/server
+spans, and the deferred fabric read."""
 
-from repro.common.trace import Tracer
 from repro.core.cluster import Cluster
 from repro.obs.correlation import CorrelationContext
 
@@ -46,18 +45,19 @@ class TestCorrelationContext:
 
 
 class TestEndToEndCorrelation:
-    def _rids_by_event(self, tracer):
+    def _spans(self, cluster):
+        return [span for trace in cluster.spans.traces() for span in trace["spans"]]
+
+    def _rids_by_event(self, cluster):
         out = {}
-        for ev in tracer.events():
-            rid = ev.args.get("rid")
+        for span in self._spans(cluster):
+            rid = span.args.get("rid")
             if rid is not None:
-                out.setdefault((ev.category, ev.name), set()).add(rid)
+                out.setdefault((span.category, span.name), set()).add(rid)
         return out
 
     def test_remote_get_spans_one_request_id(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False)
-        tracer = Tracer(cluster.clock)
-        cluster.attach_tracer(tracer)
+        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False, tracing=True)
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
 
@@ -68,20 +68,20 @@ class TestEndToEndCorrelation:
         buf.read_all()  # deferred fabric transfer happens here
         consumer.release(oid)
 
-        by_event = self._rids_by_event(tracer)
+        by_event = self._rids_by_event(cluster)
         get_rids = by_event[("client", "get")]
         assert len(get_rids) == 1
         (rid,) = get_rids
-        # The same id must appear on the RPC client span, the server-side
-        # dispatch span, and the fabric read that completed the buffer.
+        # The same id must appear on the store span, the RPC client span,
+        # the server-side dispatch span, and the fabric read that completed
+        # the buffer (a root of its own, resumed under the Get's id).
+        assert rid in by_event[("store", "get_buffers")]
         assert rid in by_event[("rpc", "plasma.StoreService.Lookup")]
         assert rid in by_event[("rpc.server", "plasma.StoreService.Lookup")]
         assert rid in by_event[("fabric", "read")]
 
     def test_distinct_operations_get_distinct_ids(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False)
-        tracer = Tracer(cluster.clock)
-        cluster.attach_tracer(tracer)
+        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False, tracing=True)
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
 
@@ -94,9 +94,9 @@ class TestEndToEndCorrelation:
             consumer.release(oid)
 
         rids = {
-            ev.args["rid"]
-            for ev in tracer.events()
-            if ev.category == "client" and "rid" in ev.args
+            span.args["rid"]
+            for span in self._spans(cluster)
+            if span.category == "client" and "rid" in span.args
         }
         # 3 puts + 3 gets, each its own operation.
         assert len(rids) == 6

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.rng import DeterministicRng
-from repro.rpc.aio import EventLoop, EventLoopError, Future, Sleep
+from repro.rpc.aio import EventLoop, EventLoopError, Future, Sleep, run_inline
 
 
 def make_loop(seed: int = 7) -> EventLoop:
@@ -208,6 +208,41 @@ class TestComposition:
         loop = make_loop()
         with pytest.raises(EventLoopError):
             loop.race([])
+
+
+class TestRunInline:
+    """The sync-mode driver: an op body that never suspends runs to its
+    return value; one that yields is a programming error, raised at once."""
+
+    def test_returns_the_body_result(self):
+        def body():
+            if False:
+                yield
+            return 42
+
+        assert run_inline(body()) == 42
+
+    def test_propagates_the_body_exception(self):
+        def body():
+            if False:
+                yield
+            raise KeyError("boom")
+
+        with pytest.raises(KeyError):
+            run_inline(body())
+
+    def test_a_yield_raises_and_closes_the_body(self):
+        closed = []
+
+        def body():
+            try:
+                yield Sleep(1)
+            finally:
+                closed.append(True)
+
+        with pytest.raises(RuntimeError, match="yielded"):
+            run_inline(body())
+        assert closed == [True]
 
 
 class TestDeterminism:
