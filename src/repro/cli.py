@@ -789,6 +789,16 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    async_rpc = scenario.rpc is not None and scenario.rpc.mode == "async"
+    if args.trace and async_rpc:
+        # The span sink stays detached while the event loop drives the ops,
+        # so an async run has no span trace to write.
+        print(
+            f"error: --trace needs the sync RPC path; {scenario.name} runs "
+            "with rpc.mode=async, which records no span trace",
+            file=sys.stderr,
+        )
+        return 2
     if args.trace and (scenario.tracing is None or not scenario.tracing.enabled):
         import dataclasses
 
@@ -1047,7 +1057,9 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--trace", action="store_true",
                           help="force span tracing on and write the "
                                "TRACE_workload_<scenario>.json Chrome trace "
-                               "next to the BENCH artifact")
+                               "next to the BENCH artifact (sync RPC "
+                               "scenarios only; refused with exit code 2 "
+                               "for rpc.mode=async)")
     workload.add_argument("--json", action="store_true",
                           help="print the full BENCH payload instead of the "
                                "summary")

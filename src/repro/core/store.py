@@ -865,12 +865,48 @@ class DisaggregatedStore(PlasmaStore):
         resolved: dict[ObjectID, RemoteObjectRecord],
         unreachable: list[str] | None = None,
     ) -> list[ObjectID]:
-        """One batched Lookup per peer until everything resolves; returns
-        the ids nobody claimed. Peers whose metadata plane cannot answer
-        (down, breaker-open, past deadline) are skipped and collected into
-        *unreachable*; so is a peer shedding under overload — its objects
-        may well exist, so unresolved ids surface as the typed outage
-        rather than not-found.
+        """Batched Lookups until everything resolves; returns the ids nobody
+        claimed.
+
+        With placement on, each id's ring home is probed first — one
+        batched Lookup per home, homes in sorted order (`_ring_homes`) — so
+        a home hit costs exactly one RPC. Whatever no home claims goes on to
+        the paper's sweep (`_sweep_lookup`), which covers replicas, fallback
+        local creates, tier moves, migrations and a stale or derated ring.
+        The sweep does not ask a home again about the ids it already
+        answered for: inline, nothing ran in between that could change the
+        answer. Without placement there is no ring and the sweep is all
+        there is. A home found unreachable is listed in *unreachable* and
+        the sweep does not try it again.
+
+        A home probe is never hedge-clamped: the home is the likeliest
+        holder, and hedging away from it sends the Lookup on to peers that
+        mostly miss before the home is retried anyway."""
+        if unreachable is None:
+            unreachable = []
+        asked: dict[ObjectID, str] = {}
+        for home, ids in self._ring_homes(object_ids).items():
+            self._lookup_peer(home, ids, resolved, unreachable, None, None)
+            asked.update(dict.fromkeys(ids, home))
+        return self._sweep_lookup(object_ids, resolved, unreachable, asked)
+
+    def _sweep_lookup(
+        self,
+        object_ids: list[ObjectID],
+        resolved: dict[ObjectID, RemoteObjectRecord],
+        unreachable: list[str],
+        asked: dict[ObjectID, str] | None = None,
+    ) -> list[ObjectID]:
+        """The paper's sweep: one batched Lookup per peer in name order for
+        the ids not yet in *resolved*, until everything resolves; returns
+        the ids nobody claimed. A peer is not asked about the ids *asked*
+        maps to it.
+
+        Peers whose metadata plane cannot answer (down, breaker-open, past
+        deadline) are collected into *unreachable*, once each, and are not
+        tried again; so is a peer shedding under overload — its objects may
+        well exist, so unresolved ids surface as the typed outage rather
+        than not-found.
 
         When hedging is configured on the channels, a non-final peer is
         only waited on for the hedge delay (a configured quantile of that
@@ -880,20 +916,27 @@ class DisaggregatedStore(PlasmaStore):
         hedged (slow, not dead) peers once with the full deadline —
         hedging trades tail latency for duplicate work, never
         availability."""
-        remaining = list(object_ids)
+        asked = asked or {}
+        remaining = [oid for oid in object_ids if oid not in resolved]
         peers = self.peers()
         hedged: list[str] = []
         for index, name in enumerate(peers):
             if not remaining:
                 break
+            if name in unreachable:
+                continue
+            ask = [oid for oid in remaining if asked.get(oid) != name]
+            if not ask:
+                continue
             hedge_ns = None
             if index < len(peers) - 1:
                 channel = getattr(self._peers[name].stub, "channel", None)
                 if channel is not None and hasattr(channel, "hedge_delay_ns"):
                     hedge_ns = channel.hedge_delay_ns()
-            remaining = self._lookup_peer(
-                name, remaining, resolved, unreachable, hedged, hedge_ns
+            self._lookup_peer(
+                name, ask, resolved, unreachable, hedged, hedge_ns
             )
+            remaining = [oid for oid in remaining if oid not in resolved]
         if remaining and hedged:
             self.counters.inc("lookup_hedge_losses")
             for name in hedged:
@@ -903,6 +946,20 @@ class DisaggregatedStore(PlasmaStore):
                     name, remaining, resolved, unreachable, None, None
                 )
         return remaining
+
+    def _ring_homes(
+        self, object_ids: list[ObjectID]
+    ) -> dict[str, list[ObjectID]]:
+        """The ids to probe at their ring home first, grouped by home in
+        sorted home order. Ids homed here or at a name that is not a
+        connected peer are left out, and so is everything when placement is
+        off — those go straight to the sweep."""
+        by_home: dict[str, list[ObjectID]] = {}
+        for oid in object_ids:
+            home = self.placement_home(oid)
+            if home is not None:
+                by_home.setdefault(home, []).append(oid)
+        return {home: by_home[home] for home in sorted(by_home)}
 
     def _lookup_peer(
         self,
@@ -939,7 +996,7 @@ class DisaggregatedStore(PlasmaStore):
             # fail over (the channel's breaker/retry budget already did
             # their part).
             self.counters.inc("lookups_shed")
-            if unreachable is not None:
+            if unreachable is not None and name not in unreachable:
                 unreachable.append(name)
             return remaining
         except RpcStatusError as exc:
@@ -956,7 +1013,7 @@ class DisaggregatedStore(PlasmaStore):
             # circuit breaker takes this same path, at ~1 us instead
             # of a full timed-out round trip.
             if self._peer_unavailable(name, exc):
-                if unreachable is not None:
+                if unreachable is not None and name not in unreachable:
                     unreachable.append(name)
                 return remaining
             raise
@@ -1114,8 +1171,12 @@ class DisaggregatedStore(PlasmaStore):
         if self._sharing in ("hashmap", "hybrid"):
             self._hashmap_lookup([object_id], resolved)
         else:
+            # The sweep alone, not home-first: the copy just found stale
+            # often sat at the ring home (15 of 29 refreshes over 8 seeds of
+            # perfbench's churn-async-5n), and there home-first cost 2.76
+            # Lookups per refresh against the sweep's 2.28.
             try:
-                self._rpc_lookup([object_id], resolved, unreachable=[])
+                self._sweep_lookup([object_id], resolved, unreachable=[])
             except RpcStatusError:
                 return None
         record = resolved.get(object_id)
@@ -1141,8 +1202,8 @@ class DisaggregatedStore(PlasmaStore):
         self, by_home: dict[str, list[ObjectID]], attr=None, inline=True
     ):
         """AddRef every newly referenced remote object at its home, one
-        batched call per home (inline in insertion order; on the loop
-        gathered, in sorted home order)."""
+        batched call per home in sorted home order (inline one after
+        another; on the loop gathered)."""
         if not by_home:
             return
 
@@ -1160,10 +1221,12 @@ class DisaggregatedStore(PlasmaStore):
                 self._remote_records[oid].pinned_at_home = True
             self.counters.inc("addref_rpcs")
 
-        homes = list(by_home) if inline else sorted(by_home)
         yield from self._call_peers(
             "AddRef",
-            [(home, [oid.binary() for oid in by_home[home]]) for home in homes],
+            [
+                (home, [oid.binary() for oid in by_home[home]])
+                for home in sorted(by_home)
+            ],
             pinned,
             attr,
             inline,
@@ -1298,41 +1361,40 @@ class DisaggregatedStore(PlasmaStore):
     ):
         """Scatter-gather replica resolution (task form of `_rpc_lookup`).
 
-        Ids with a known ring home are probed *concurrently*, one batched
-        Lookup per home, each hedged to the next peer after the channel's
+        The routing is the sync path's: ring homes first (`_ring_homes`),
+        then the ordered sweep over the peers not found unreachable for
+        whatever no home claimed — any peer might hold a replica, and the
+        ring view might be stale. Here the home probes run *concurrently*,
+        each hedged to the next peer after the channel's
         ``hedge_stagger_ns`` (losers run out harmlessly — Lookup is
-        idempotent). Whatever no targeted probe claims falls back to the
-        ordered sweep over every peer, exactly like the sync path — any
-        peer might hold a replica, and the ring view might be stale."""
-        remaining = list(object_ids)
-        peers = self.peers()
-        if not peers:
-            return remaining
-        by_home: dict[str, list[ObjectID]] = {}
-        if self._ring is not None:
-            for oid in remaining:
-                home = self._ring.home(oid)
-                if home != self._name and home in self._peers:
-                    by_home.setdefault(home, []).append(oid)
+        idempotent)."""
+        if unreachable is None:
+            unreachable = []
+        by_home = self._ring_homes(object_ids)
         loop = self._aio_loop
         if by_home:
             probes = [
                 loop.spawn(
                     self._probe_peer_task(
-                        home, by_home[home], resolved, unreachable, attr
+                        home, ids, resolved, unreachable, attr
                     ),
                     name=f"lookup:{home}",
                 )
-                for home in sorted(by_home)
+                for home, ids in by_home.items()
             ]
             results = yield loop.gather(probes)
             for result in results:
                 if isinstance(result, BaseException):
                     raise result
+        # Unlike the inline sweep, this one asks a home again about the ids
+        # it already answered for: other ops ran while the probes were in
+        # flight, and one of them may have put the object there since.
         remaining = [oid for oid in object_ids if oid not in resolved]
-        for name in peers:
+        for name in self.peers():
             if not remaining:
                 break
+            if name in unreachable:
+                continue
             remaining = yield from self._lookup_peer_task(
                 name, remaining, resolved, unreachable, attr
             )

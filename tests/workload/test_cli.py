@@ -134,3 +134,27 @@ class TestTraceFlag:
             "workload", "--scenario", str(scenario_file), "--out", str(out),
         ]) == 0
         assert not (out / "TRACE_workload_mini.json").exists()
+
+    def test_trace_refused_on_async_scenario(self, tmp_path, capsys):
+        path = tmp_path / "mini-async.json"
+        obj = mini_obj(name="mini-async")
+        obj["rpc"] = {"mode": "async"}
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main([
+            "workload", "--scenario", str(path), "--out", str(out), "--trace",
+        ])
+        assert rc == 2
+        assert "rpc.mode=async" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_allowed_on_sync_rpc_block(self, tmp_path):
+        path = tmp_path / "mini-sync.json"
+        obj = mini_obj(name="mini-sync")
+        obj["rpc"] = {"mode": "sync"}
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([
+            "workload", "--scenario", str(path), "--out", str(out), "--trace",
+        ]) == 0
+        assert (out / "TRACE_workload_mini-sync.json").exists()
