@@ -837,11 +837,9 @@ class DisaggregatedStore(PlasmaStore):
             unreachable: list[str] = []
             if self._sharing in ("hashmap", "hybrid"):
                 still = self._hashmap_lookup(unresolved, resolved)
-            elif inline:
-                still = self._rpc_lookup(unresolved, resolved, unreachable)
             else:
-                still = yield from self._rpc_lookup_task(
-                    unresolved, resolved, unreachable, attr
+                still = yield from self._rpc_lookup(
+                    unresolved, resolved, unreachable, attr, inline
                 )
             if still and not allow_missing:
                 detail = ", ".join(repr(oid) for oid in still[:5])
@@ -864,7 +862,9 @@ class DisaggregatedStore(PlasmaStore):
         object_ids: list[ObjectID],
         resolved: dict[ObjectID, RemoteObjectRecord],
         unreachable: list[str] | None = None,
-    ) -> list[ObjectID]:
+        attr=None,
+        inline: bool = True,
+    ):
         """Batched Lookups until everything resolves; returns the ids nobody
         claimed.
 
@@ -873,22 +873,51 @@ class DisaggregatedStore(PlasmaStore):
         a home hit costs exactly one RPC. Whatever no home claims goes on to
         the paper's sweep (`_sweep_lookup`), which covers replicas, fallback
         local creates, tier moves, migrations and a stale or derated ring.
-        The sweep does not ask a home again about the ids it already
-        answered for: inline, nothing ran in between that could change the
-        answer. Without placement there is no ring and the sweep is all
-        there is. A home found unreachable is listed in *unreachable* and
-        the sweep does not try it again.
+        Without placement there is no ring and the sweep is all there is. A
+        home found unreachable is listed in *unreachable* and the sweep does
+        not try it again.
+
+        The home probes are where the drivers differ. Inline they run one
+        after another, and the sweep does not ask a home again about the
+        ids it already answered for: nothing ran in between that could
+        change the answer. On the loop they run concurrently, each hedged
+        to the next peer after the channel's ``hedge_stagger_ns``
+        (`_probe_peer_task`), and the sweep asks the homes again: other ops
+        ran while the probes were in flight, and one of them may have put
+        the object there since.
 
         A home probe is never hedge-clamped: the home is the likeliest
         holder, and hedging away from it sends the Lookup on to peers that
         mostly miss before the home is retried anyway."""
         if unreachable is None:
             unreachable = []
+        by_home = self._ring_homes(object_ids)
         asked: dict[ObjectID, str] = {}
-        for home, ids in self._ring_homes(object_ids).items():
-            self._lookup_peer(home, ids, resolved, unreachable, None, None)
-            asked.update(dict.fromkeys(ids, home))
-        return self._sweep_lookup(object_ids, resolved, unreachable, asked)
+        if inline:
+            for home, ids in by_home.items():
+                yield from self._lookup_peer(home, ids, resolved, unreachable)
+                asked.update(dict.fromkeys(ids, home))
+        elif by_home:
+            loop = self._aio_loop
+            results = yield loop.gather(
+                [
+                    loop.spawn(
+                        self._probe_peer_task(
+                            home, ids, resolved, unreachable, attr
+                        ),
+                        name=f"lookup:{home}",
+                    )
+                    for home, ids in by_home.items()
+                ]
+            )
+            for result in results:
+                if isinstance(result, BaseException):
+                    raise result
+        return (
+            yield from self._sweep_lookup(
+                object_ids, resolved, unreachable, asked, attr, inline
+            )
+        )
 
     def _sweep_lookup(
         self,
@@ -896,7 +925,9 @@ class DisaggregatedStore(PlasmaStore):
         resolved: dict[ObjectID, RemoteObjectRecord],
         unreachable: list[str],
         asked: dict[ObjectID, str] | None = None,
-    ) -> list[ObjectID]:
+        attr=None,
+        inline: bool = True,
+    ):
         """The paper's sweep: one batched Lookup per peer in name order for
         the ids not yet in *resolved*, until everything resolves; returns
         the ids nobody claimed. A peer is not asked about the ids *asked*
@@ -908,14 +939,15 @@ class DisaggregatedStore(PlasmaStore):
         well exist, so unresolved ids surface as the typed outage rather
         than not-found.
 
-        When hedging is configured on the channels, a non-final peer is
-        only waited on for the hedge delay (a configured quantile of that
-        channel's observed latency): on expiry the sweep abandons the
-        attempt (the cancellation) and moves straight to the next holder.
-        A sweep that still has unresolved ids afterwards retries the
-        hedged (slow, not dead) peers once with the full deadline —
+        Inline, when hedging is configured on the channels, a non-final
+        peer is only waited on for the hedge delay (a configured quantile
+        of that channel's observed latency): on expiry the sweep abandons
+        the attempt (the cancellation) and moves straight to the next
+        holder. A sweep that still has unresolved ids afterwards retries
+        the hedged (slow, not dead) peers once with the full deadline —
         hedging trades tail latency for duplicate work, never
-        availability."""
+        availability. On the loop the sweep waits on every peer in full:
+        its hedging is the staggered race of the home probes."""
         asked = asked or {}
         remaining = [oid for oid in object_ids if oid not in resolved]
         peers = self.peers()
@@ -929,22 +961,23 @@ class DisaggregatedStore(PlasmaStore):
             if not ask:
                 continue
             hedge_ns = None
-            if index < len(peers) - 1:
+            if inline and index < len(peers) - 1:
                 channel = getattr(self._peers[name].stub, "channel", None)
                 if channel is not None and hasattr(channel, "hedge_delay_ns"):
                     hedge_ns = channel.hedge_delay_ns()
-            self._lookup_peer(
-                name, ask, resolved, unreachable, hedged, hedge_ns
+            claimed = yield from self._lookup_peer(
+                name, ask, resolved, unreachable, hedged, hedge_ns, attr, inline
             )
-            remaining = [oid for oid in remaining if oid not in resolved]
+            remaining = [oid for oid in remaining if oid not in claimed]
         if remaining and hedged:
             self.counters.inc("lookup_hedge_losses")
             for name in hedged:
                 if not remaining:
                     break
-                remaining = self._lookup_peer(
-                    name, remaining, resolved, unreachable, None, None
+                claimed = yield from self._lookup_peer(
+                    name, remaining, resolved, unreachable, attr=attr, inline=inline
                 )
+                remaining = [oid for oid in remaining if oid not in claimed]
         return remaining
 
     def _ring_homes(
@@ -964,25 +997,39 @@ class DisaggregatedStore(PlasmaStore):
     def _lookup_peer(
         self,
         name: str,
-        remaining: list[ObjectID],
+        ids: list[ObjectID],
         resolved: dict[ObjectID, RemoteObjectRecord],
         unreachable: list[str] | None,
-        hedged: list[str] | None,
-        hedge_ns: float | None,
-    ) -> list[ObjectID]:
-        """Probe one peer with a batched Lookup (optionally clamped to the
-        hedge delay); returns the ids it did not claim."""
-        payload = {"object_ids": [oid.binary() for oid in remaining]}
+        hedged: list[str] | None = None,
+        hedge_ns: float | None = None,
+        attr=None,
+        inline: bool = True,
+    ):
+        """Probe one peer with a batched Lookup; returns the ids it claimed.
+
+        Inline the Lookup is a blocking stub call, optionally clamped to the
+        hedge delay *hedge_ns*. On the loop it goes through the peer
+        channel's coalescing buffer, sharing a wire message with any other
+        lookup landing within the batch window — or through the stub again
+        when the peer's transport has no event-loop channel (dmsg rings)."""
         stub = self._peers[name].stub
+        channel = None if inline else self._peer_channel(name)
+        wire_ids = [oid.binary() for oid in ids]
         try:
-            if hedge_ns is not None:
+            if channel is not None:
+                response = yield channel.batched_call(
+                    stub.service, "Lookup", wire_ids, attr=attr
+                )
+            elif hedge_ns is not None:
                 # Time burned waiting on a hedge-clamped probe is the cost
                 # of the hedging policy, not ordinary service — attribute
                 # every ns of this attempt to "hedge".
                 with maybe_component(self.spans, "hedge"):
-                    response = stub.Lookup(payload, deadline_ns=hedge_ns)
+                    response = stub.Lookup(
+                        {"object_ids": wire_ids}, deadline_ns=hedge_ns
+                    )
             else:
-                response = stub.Lookup(payload)
+                response = stub.Lookup({"object_ids": wire_ids})
         except ServerOverloadedError:
             if hedge_ns is not None and hedged is not None:
                 # Shed *under the hedge clamp*: the server refused work it
@@ -991,14 +1038,14 @@ class DisaggregatedStore(PlasmaStore):
                 # for the full-deadline retry after the sweep.
                 self.counters.inc("lookup_hedges_fired")
                 hedged.append(name)
-                return remaining
+                return set()
             # The peer is alive but shedding load; back off rather than
             # fail over (the channel's breaker/retry budget already did
             # their part).
             self.counters.inc("lookups_shed")
             if unreachable is not None and name not in unreachable:
                 unreachable.append(name)
-            return remaining
+            return set()
         except RpcStatusError as exc:
             if hedge_ns is not None and exc.code is StatusCode.DEADLINE_EXCEEDED:
                 # The hedge fired: this peer is slow, not dead — it is NOT
@@ -1006,7 +1053,7 @@ class DisaggregatedStore(PlasmaStore):
                 # this abandoned attempt is the cancelled one.
                 self.counters.inc("lookup_hedges_fired")
                 hedged.append(name)
-                return remaining
+                return set()
             # A down peer's objects are unreachable by lookup (their
             # bytes survive in exposed memory, but nobody can resolve
             # ids to offsets) — skip it and keep serving. An open
@@ -1015,14 +1062,14 @@ class DisaggregatedStore(PlasmaStore):
             if self._peer_unavailable(name, exc):
                 if unreachable is not None and name not in unreachable:
                     unreachable.append(name)
-                return remaining
+                return set()
             raise
         claimed = self._record_found(name, response, resolved)
         if hedged and claimed:
             # An answer arrived from a holder reached only because an
             # earlier hedge fired — the hedge won the race.
             self.counters.inc("lookup_hedge_wins")
-        return [oid for oid in remaining if oid not in claimed]
+        return claimed
 
     def _record_found(
         self, name: str, response: dict, resolved: dict
@@ -1176,7 +1223,7 @@ class DisaggregatedStore(PlasmaStore):
             # perfbench's churn-async-5n), and there home-first cost 2.76
             # Lookups per refresh against the sweep's 2.28.
             try:
-                self._sweep_lookup([object_id], resolved, unreachable=[])
+                run_inline(self._sweep_lookup([object_id], resolved, []))
             except RpcStatusError:
                 return None
         record = resolved.get(object_id)
@@ -1352,54 +1399,6 @@ class DisaggregatedStore(PlasmaStore):
         if isinstance(outcome, BaseException):
             raise outcome
 
-    def _rpc_lookup_task(
-        self,
-        object_ids: list[ObjectID],
-        resolved: dict[ObjectID, RemoteObjectRecord],
-        unreachable: list[str] | None = None,
-        attr=None,
-    ):
-        """Scatter-gather replica resolution (task form of `_rpc_lookup`).
-
-        The routing is the sync path's: ring homes first (`_ring_homes`),
-        then the ordered sweep over the peers not found unreachable for
-        whatever no home claimed — any peer might hold a replica, and the
-        ring view might be stale. Here the home probes run *concurrently*,
-        each hedged to the next peer after the channel's
-        ``hedge_stagger_ns`` (losers run out harmlessly — Lookup is
-        idempotent)."""
-        if unreachable is None:
-            unreachable = []
-        by_home = self._ring_homes(object_ids)
-        loop = self._aio_loop
-        if by_home:
-            probes = [
-                loop.spawn(
-                    self._probe_peer_task(
-                        home, ids, resolved, unreachable, attr
-                    ),
-                    name=f"lookup:{home}",
-                )
-                for home, ids in by_home.items()
-            ]
-            results = yield loop.gather(probes)
-            for result in results:
-                if isinstance(result, BaseException):
-                    raise result
-        # Unlike the inline sweep, this one asks a home again about the ids
-        # it already answered for: other ops ran while the probes were in
-        # flight, and one of them may have put the object there since.
-        remaining = [oid for oid in object_ids if oid not in resolved]
-        for name in self.peers():
-            if not remaining:
-                break
-            if name in unreachable:
-                continue
-            remaining = yield from self._lookup_peer_task(
-                name, remaining, resolved, unreachable, attr
-            )
-        return remaining
-
     def _probe_peer_task(
         self,
         name: str,
@@ -1408,9 +1407,9 @@ class DisaggregatedStore(PlasmaStore):
         unreachable: list[str] | None,
         attr=None,
     ):
-        """One targeted probe, hedged: race the home's Lookup against a
-        staggered backup probe at the next peer. Returns the ids neither
-        claimed."""
+        """One targeted probe on the loop, hedged: race the home's Lookup
+        against a staggered backup probe at the next peer. Returns the ids
+        the winner claimed."""
         loop = self._aio_loop
         channel = self._peer_channel(name)
         stagger = channel.hedge_stagger_ns if channel is not None else 0.0
@@ -1421,7 +1420,9 @@ class DisaggregatedStore(PlasmaStore):
             if candidate != name:
                 backup = candidate
         primary = loop.spawn(
-            self._lookup_peer_task(name, ids, resolved, unreachable, attr),
+            self._lookup_peer(
+                name, ids, resolved, unreachable, attr=attr, inline=False
+            ),
             name=f"probe:{name}",
         )
         if backup is None:
@@ -1454,53 +1455,14 @@ class DisaggregatedStore(PlasmaStore):
         failure detector."""
         yield Sleep(stagger_ns)
         if primary.future.done():
-            return list(ids)
+            return set()
         channel = self._peer_channel(name)
         if channel is not None:
             channel.aio_counters["hedges_fired"] += 1
         self.counters.inc("lookup_hedges_fired")
-        result = yield from self._lookup_peer_task(
-            name, ids, resolved, None, None
+        return (
+            yield from self._lookup_peer(name, ids, resolved, None, inline=False)
         )
-        return result
-
-    def _lookup_peer_task(
-        self,
-        name: str,
-        remaining: list[ObjectID],
-        resolved: dict,
-        unreachable: list[str] | None,
-        attr=None,
-    ):
-        """Task form of `_lookup_peer`: the Lookup goes through the peer
-        channel's coalescing buffer (sharing a wire message with any other
-        lookup landing within the batch window); error mapping matches the
-        sync path."""
-        channel = self._peer_channel(name)
-        if channel is None:
-            return self._lookup_peer(
-                name, list(remaining), resolved, unreachable, None, None
-            )
-        try:
-            response = yield channel.batched_call(
-                self._peers[name].stub.service,
-                "Lookup",
-                [oid.binary() for oid in remaining],
-                attr=attr,
-            )
-        except ServerOverloadedError:
-            self.counters.inc("lookups_shed")
-            if unreachable is not None and name not in unreachable:
-                unreachable.append(name)
-            return list(remaining)
-        except RpcStatusError as exc:
-            if self._peer_unavailable(name, exc):
-                if unreachable is not None and name not in unreachable:
-                    unreachable.append(name)
-                return list(remaining)
-            raise
-        claimed = self._record_found(name, response, resolved)
-        return [oid for oid in remaining if oid not in claimed]
 
     # -- replication for failover reads (degraded-mode extension) ------------------------------
 

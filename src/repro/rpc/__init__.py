@@ -21,7 +21,9 @@ from repro.rpc.codec import encode_message, decode_message, MessageError
 from repro.rpc.status import StatusCode
 from repro.rpc.service import Service, rpc_method
 from repro.rpc.server import RpcServer
-from repro.rpc.channel import Channel, ServiceStub
+# The event-loop package before the channel module: repro.rpc.channel imports
+# Sleep and run_inline from repro.rpc.aio.loop, and importing it first would
+# start repro.rpc.aio, whose AsyncChannel needs the not-yet-defined Channel.
 from repro.rpc.aio import (
     AsyncChannel,
     CoalescingBuffer,
@@ -32,6 +34,7 @@ from repro.rpc.aio import (
     Task,
     TaskAttribution,
 )
+from repro.rpc.channel import Channel, ServiceStub
 
 __all__ = [
     "AsyncChannel",

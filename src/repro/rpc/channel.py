@@ -29,9 +29,16 @@ Resilience semantics (gRPC-shaped, used by repro.core.health / repro.chaos):
   before every call; while open, calls fail fast (~1 us) without a round
   trip, and the call's final outcome (success / unavailable / deadline)
   feeds back into the breaker state.
+
+A unary call has one body, the generator :meth:`Channel._unary`.
+:meth:`Channel.unary_call` drives it inline with ``run_inline``;
+``AsyncChannel.unary_task`` (:mod:`repro.rpc.aio.channel`, which lists the
+few points where the two drivers differ) drives it on the event loop.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 from repro.common.clock import SimClock
 from repro.common.config import RpcConfig
@@ -40,6 +47,7 @@ from repro.common.rng import DeterministicRng
 from repro.common.stats import Distribution
 from repro.obs.metrics import CounterGroup
 from repro.obs.spans import maybe_component, maybe_span
+from repro.rpc.aio.loop import Sleep, run_inline
 from repro.rpc.codec import decode_message, encode_message
 from repro.rpc.overload import RetryBudget
 from repro.rpc.server import RpcServer
@@ -55,6 +63,10 @@ _FAILURE_CODES = (
     StatusCode.DEADLINE_EXCEEDED,
     StatusCode.RESOURCE_EXHAUSTED,
 )
+
+# A call on the event loop opens no span: the sink's span stack assumes one
+# operation on the clock at a time, which the loop's interleaving breaks.
+_NO_SPAN = contextlib.nullcontext()
 
 
 class Channel:
@@ -152,25 +164,47 @@ class Channel:
             + (request_bytes + response_bytes) * self._config.per_byte_ns
         ) * self._rng.lognormal_jitter(self._config.jitter_sigma)
 
-    def _advance_within_deadline(
-        self, cost_ns: float, start_ns: int, deadline_ns: float | None
-    ) -> None:
-        """Advance the clock by *cost_ns*, but never past the call deadline;
-        on expiry, charge only the remainder and raise DEADLINE_EXCEEDED."""
-        if deadline_ns is None:
+    def _direction_cost_ns(self, nbytes: int) -> float:
+        """One leg of a call on the event loop: half the round trip plus
+        that direction's bytes, jittered like the inline lump."""
+        return (
+            self._config.round_trip_ns / 2.0
+            + nbytes * self._config.per_byte_ns
+        ) * self._rng.lognormal_jitter(self._config.jitter_sigma)
+
+    def _wait(self, call: _Call, cost_ns: float):
+        """Spend *cost_ns* of the call's simulated time: inline by advancing
+        the clock, on the event loop by sleeping. Never past the call
+        deadline: on expiry only the remainder is spent, then the call
+        raises DEADLINE_EXCEEDED."""
+        left = call.left_ns(self._clock.now_ns)
+        expired = left is not None and cost_ns > left
+        if expired:
+            cost_ns = max(0.0, left)
+        if call.inline:
             self._clock.advance(cost_ns)
-            return
-        remaining = deadline_ns - (self._clock.now_ns - start_ns)
-        if cost_ns > remaining:
-            self._clock.advance(max(0.0, remaining))
+        else:
+            yield Sleep(cost_ns)
+        if expired:
             self.counters.inc("deadline_exceeded")
             self.counters.inc("calls_failed")
             raise RpcStatusError(
                 StatusCode.DEADLINE_EXCEEDED,
-                f"deadline of {deadline_ns / 1e6:.3f} ms exceeded calling "
+                f"deadline of {call.deadline_ns / 1e6:.3f} ms exceeded calling "
                 f"{self._server.host}",
             )
-        self._clock.advance(cost_ns)
+
+    def _retry_wait(self, call: _Call, cost_ns: float):
+        """:meth:`_wait`, charged to the ``retry`` component: backoff
+        intervals and the transport cost of failed repeat attempts are retry
+        amplification, not useful service time. Inline the span sink's
+        component stack takes the charge; on the loop the op's
+        ``TaskAttribution`` hint does — a component held open across a
+        suspension would also capture other tasks' clock advances."""
+        if call.attr is not None:
+            call.attr.hint("retry", cost_ns)
+        with maybe_component(self._spans if call.inline else None, "retry"):
+            yield from self._wait(call, cost_ns)
 
     def _backoff_ns(self, retry_index: int) -> float:
         base = self._config.retry_initial_backoff_ns * (
@@ -199,6 +233,13 @@ class Channel:
         return configured if configured > 0 else None
 
     # -- breaker gate ---------------------------------------------------------------
+
+    def _admit(self) -> None:
+        """Admission ahead of a unary call: a closed channel refuses it, an
+        open breaker fails it fast."""
+        if self._closed:
+            raise RpcError(f"channel to {self._server.host} is closed")
+        self._breaker_admit()
 
     def _breaker_admit(self) -> None:
         if self._breaker is None:
@@ -235,29 +276,16 @@ class Channel:
 
         Transient UNAVAILABLE outcomes are retried with exponential backoff
         up to the configured ``max_retries``; every attempt and backoff is
-        charged in simulated time, bounded by the call deadline.
+        charged in simulated time, bounded by the call deadline. The call
+        is :meth:`_unary` driven inline, inside one ``rpc`` span.
         """
-        if self._closed:
-            raise RpcError(f"channel to {self._server.host} is closed")
-        self._breaker_admit()
-        deadline = self._effective_deadline(deadline_ns)
-        track = self._latency is not None or self._config.hedge_quantile > 0
-        start_ns = self._clock.now_ns if track else 0
-        try:
-            with self._span(service, method):
-                response = self._unary_call_inner(
-                    service, method, request, deadline
-                )
-        except RpcStatusError as exc:
-            self._observe_latency(method, start_ns)
-            self._breaker_record(exc)
-            raise
-        self._observe_latency(method, start_ns)
-        if self._config.hedge_quantile > 0:
-            # Successful-call latency feeds the hedge-delay quantile.
-            self._latency_samples.add(self._clock.now_ns - start_ns)
-        self._breaker_record(None)
-        return response
+        self._admit()
+        return run_inline(
+            self._unary(
+                service, method, request, deadline_ns,
+                inline=True, span=self._span(service, method),
+            )
+        )
 
     def _span(self, service: str, method: str):
         """The channel's span hook: one ``rpc`` span per call, tagged with
@@ -271,15 +299,6 @@ class Channel:
             **({} if rid is None else {"rid": rid}),
         )
 
-    def _charge_retry(
-        self, cost_ns: float, start_ns: int, deadline_ns: float | None
-    ) -> None:
-        """Charge *cost_ns* attributed to the retry component: backoff
-        intervals and the transport cost of repeat attempts are retry
-        amplification, not useful service time."""
-        with maybe_component(self._spans, "retry"):
-            self._advance_within_deadline(cost_ns, start_ns, deadline_ns)
-
     def _observe_latency(self, method: str, start_ns: int) -> None:
         if self._latency is not None:
             self._latency.labels(peer=self._server.host, method=method).observe(
@@ -291,44 +310,58 @@ class Channel:
                 ),
             )
 
-    def _unary_call_inner(
+    def _unary(
         self,
         service: str,
         method: str,
         request: dict | None,
         deadline_ns: float | None,
-    ) -> dict:
+        *,
+        inline: bool,
+        span=_NO_SPAN,
+        attr=None,
+    ):
+        """The one body of a unary call, a generator: :meth:`unary_call`
+        drives it inline (``run_inline``), ``AsyncChannel.unary_task`` on the
+        event loop. The drivers differ in how time is spent (:meth:`_wait`),
+        in where retry time is charged (:meth:`_retry_wait`) and in the
+        transport cost (:meth:`_attempts`). Latency observation and breaker feedback
+        run outside *span*, so a latency exemplar links to the caller's
+        span, not to the call's own."""
+        call = _Call(
+            self._clock.now_ns, self._effective_deadline(deadline_ns), inline, attr
+        )
+        try:
+            with span:
+                response = yield from self._attempts(call, service, method, request)
+        except RpcStatusError as exc:
+            self._observe_latency(method, call.start_ns)
+            self._breaker_record(exc)
+            raise
+        self._observe_latency(method, call.start_ns)
+        if self._config.hedge_quantile > 0:
+            # Successful-call latency feeds the hedge-delay quantile.
+            self._latency_samples.add(self._clock.now_ns - call.start_ns)
+        self._breaker_record(None)
+        return response
+
+    def _attempts(self, call: _Call, service: str, method: str, request):
+        """The attempt loop: lost attempts, dispatch, and the retry of
+        UNAVAILABLE / RESOURCE_EXHAUSTED outcomes under the retry budget."""
         wire_request = encode_message(request or {})
         attempts = 1 + max(0, self._config.max_retries)
-        start_ns = self._clock.now_ns
         for attempt in range(attempts):
-            last = attempt == attempts - 1
-            if self._transport_silent():
-                # The attempt vanished into a partition/blackhole: the
-                # caller waits out its connect timeout (or the deadline).
-                self._fail_attempt(
-                    self._chaos.unanswered_wait_ns,
-                    start_ns,
-                    deadline_ns,
-                    last,
-                    attempts,
-                    attempt,
-                    f"no response from {self._server.host}",
-                )
+            lost = self._lost(len(wire_request), "connection")
+            if lost is not None:
+                yield from self._fail_attempt(call, *lost, attempt, attempts)
                 continue
-            if self._attempt_fails():
-                # The connection dropped mid-call: charge the round trip,
-                # then retry or surface UNAVAILABLE.
-                self._fail_attempt(
-                    self._cost_ns(len(wire_request), 0),
-                    start_ns,
-                    deadline_ns,
-                    last,
-                    attempts,
-                    attempt,
-                    f"connection to {self._server.host} lost",
+            if not call.inline:
+                # On the loop the request leg is spent before dispatch: the
+                # server must see the request before the response travels
+                # back, while other tasks interleave.
+                yield from self._wait(
+                    call, self._direction_cost_ns(len(wire_request))
                 )
-                continue
             status, wire_response, detail = self._server.dispatch_wire(
                 service,
                 method,
@@ -341,16 +374,15 @@ class Channel:
                 # The grpc-timeout header: the budget *left*, not the
                 # original deadline, so a forwarded/retried call tells the
                 # server how much patience actually remains.
-                deadline_ns=(
-                    deadline_ns - (self._clock.now_ns - start_ns)
-                    if deadline_ns is not None
-                    else None
-                ),
+                deadline_ns=call.left_ns(self._clock.now_ns),
             )
-            self._advance_within_deadline(
-                self._cost_ns(len(wire_request), len(wire_response)),
-                start_ns,
-                deadline_ns,
+            # Inline one lump covers both directions; on the loop, the
+            # response leg.
+            yield from self._wait(
+                call,
+                self._cost_ns(len(wire_request), len(wire_response))
+                if call.inline
+                else self._direction_cost_ns(len(wire_response)),
             )
             self.counters.inc("calls")
             self.counters.inc("bytes_sent", len(wire_request))
@@ -359,30 +391,19 @@ class Channel:
                 # The server process is down (connection refused). gRPC
                 # treats UNAVAILABLE as retryable; so do we.
                 self.counters.inc("attempts_failed")
-                if last:
-                    self.counters.inc("calls_failed")
-                    raise RpcStatusError(status, detail)
-                self._gate_retry(RpcStatusError(status, detail))
-                self.counters.inc("retries")
-                self._charge_retry(self._backoff_ns(attempt), start_ns, deadline_ns)
-                continue
-            if status is StatusCode.RESOURCE_EXHAUSTED:
+                err = RpcStatusError(status, detail)
+            elif status is StatusCode.RESOURCE_EXHAUSTED:
                 # The server shed us under overload. Retryable — the peer is
                 # alive — but every retry spends retry budget, so a storm
                 # of shed calls fails fast instead of amplifying the load.
                 self.counters.inc("attempts_shed")
                 err = ServerOverloadedError(detail)
-                if last:
-                    self.counters.inc("calls_failed")
-                    raise err
-                self._gate_retry(err)
-                self.counters.inc("retries")
-                self._charge_retry(self._backoff_ns(attempt), start_ns, deadline_ns)
-                continue
-            if status is not StatusCode.OK:
+            elif status is not StatusCode.OK:
                 self.counters.inc("calls_failed")
                 raise RpcStatusError(status, detail)
-            return decode_message(wire_response)
+            else:
+                return decode_message(wire_response)
+            yield from self._retry_or_raise(call, err, attempt, attempts)
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _gate_retry(self, exc: RpcStatusError) -> None:
@@ -398,36 +419,54 @@ class Channel:
         self.counters.inc("calls_failed")
         raise exc
 
+    def _retry_or_raise(self, call: _Call, err, attempt: int, attempts: int):
+        """After a failed attempt: raise *err* when it was the last attempt
+        or the retry budget is dry, else back off before the next one."""
+        if attempt == attempts - 1:
+            self.counters.inc("calls_failed")
+            raise err
+        self._gate_retry(err)
+        self.counters.inc("retries")
+        yield from self._retry_wait(call, self._backoff_ns(attempt))
+
+    def _lost(self, request_bytes: int, link: str) -> tuple[float, str] | None:
+        """``(wasted transport ns, detail)`` when this attempt never reaches
+        the server, else None."""
+        if self._transport_silent():
+            # The attempt vanished into a partition/blackhole: the caller
+            # waits out its connect timeout (or the deadline).
+            return (
+                self._chaos.unanswered_wait_ns,
+                f"no response from {self._server.host}",
+            )
+        if self._attempt_fails():
+            # The connection dropped mid-call: charge the round trip, then
+            # retry or surface UNAVAILABLE.
+            return (
+                self._cost_ns(request_bytes, 0),
+                f"{link} to {self._server.host} lost",
+            )
+        return None
+
     def _fail_attempt(
-        self,
-        cost_ns: float,
-        start_ns: int,
-        deadline_ns: float | None,
-        last: bool,
-        attempts: int,
-        attempt: int,
-        detail: str,
-    ) -> None:
+        self, call: _Call, cost_ns: float, detail: str, attempt: int, attempts: int
+    ):
         """Account one transport-level failed attempt; retry or raise."""
         if attempt > 0:
             # A repeat attempt's wasted transport cost is retry
             # amplification; the first attempt's cost is ordinary service.
-            self._charge_retry(cost_ns, start_ns, deadline_ns)
+            yield from self._retry_wait(call, cost_ns)
         else:
-            self._advance_within_deadline(cost_ns, start_ns, deadline_ns)
+            yield from self._wait(call, cost_ns)
         self.counters.inc("attempts_failed")
-        if last:
-            self.counters.inc("calls_failed")
-            raise RpcStatusError(
-                StatusCode.UNAVAILABLE, f"{detail} ({attempts} attempts)"
-            )
-        self._gate_retry(
-            RpcStatusError(
-                StatusCode.UNAVAILABLE, f"{detail} (retry budget exhausted)"
-            )
+        last = attempt == attempts - 1
+        outcome = f"{attempts} attempts" if last else "retry budget exhausted"
+        yield from self._retry_or_raise(
+            call,
+            RpcStatusError(StatusCode.UNAVAILABLE, f"{detail} ({outcome})"),
+            attempt,
+            attempts,
         )
-        self.counters.inc("retries")
-        self._charge_retry(self._backoff_ns(attempt), start_ns, deadline_ns)
 
     # -- streaming ---------------------------------------------------------------------
 
@@ -454,75 +493,40 @@ class Channel:
         calls: injected connection drops and chaos blackholes/partitions
         are retried with backoff, deadlines bound the whole call, and the
         breaker gates admission — a fault plan degrades streams and unary
-        calls alike.
+        calls alike. Streams run inline only.
         """
         if self._closed:
             raise RpcError(f"channel to {self._server.host} is closed")
         if not requests:
             return []
         self._breaker_admit()
-        deadline = self._effective_deadline(deadline_ns)
-        start_ns = self._clock.now_ns if self._latency is not None else 0
+        call = _Call(self._clock.now_ns, self._effective_deadline(deadline_ns), True)
         try:
             with self._span(service, method):
-                responses = self._stream_call_inner(
-                    service, method, requests, deadline
+                responses = run_inline(
+                    self._stream_attempts(call, service, method, requests)
                 )
         except RpcStatusError as exc:
-            self._observe_latency(method, start_ns)
+            self._observe_latency(method, call.start_ns)
             self._breaker_record(exc)
             raise
-        self._observe_latency(method, start_ns)
+        self._observe_latency(method, call.start_ns)
         self._breaker_record(None)
         return responses
 
-    def _stream_call_inner(
-        self,
-        service: str,
-        method: str,
-        requests: list[dict],
-        deadline_ns: float | None,
-    ) -> list[dict]:
+    def _stream_attempts(self, call: _Call, service: str, method: str, requests):
         attempts = 1 + max(0, self._config.max_retries)
-        start_ns = self._clock.now_ns
         for attempt in range(attempts):
-            last = attempt == attempts - 1
-            if self._transport_silent():
-                self._fail_attempt(
-                    self._chaos.unanswered_wait_ns,
-                    start_ns,
-                    deadline_ns,
-                    last,
-                    attempts,
-                    attempt,
-                    f"no response from {self._server.host}",
+            # A stream that never establishes wastes one bare round trip.
+            lost = self._lost(0, "stream")
+            if lost is None:
+                return (
+                    yield from self._stream_dispatch(call, service, method, requests)
                 )
-                continue
-            if self._attempt_fails():
-                # The stream never established: one wasted round trip.
-                self._fail_attempt(
-                    self._cost_ns(0, 0),
-                    start_ns,
-                    deadline_ns,
-                    last,
-                    attempts,
-                    attempt,
-                    f"stream to {self._server.host} lost",
-                )
-                continue
-            return self._stream_dispatch(
-                service, method, requests, start_ns, deadline_ns
-            )
+            yield from self._fail_attempt(call, *lost, attempt, attempts)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _stream_dispatch(
-        self,
-        service: str,
-        method: str,
-        requests: list[dict],
-        start_ns: int,
-        deadline_ns: float | None,
-    ) -> list[dict]:
+    def _stream_dispatch(self, call: _Call, service: str, method: str, requests):
         responses: list[dict] = []
         wire_in = 0
         wire_out = 0
@@ -534,29 +538,21 @@ class Channel:
                 method,
                 wire_request,
                 correlation_id=rid,
-                deadline_ns=(
-                    deadline_ns - (self._clock.now_ns - start_ns)
-                    if deadline_ns is not None
-                    else None
-                ),
+                deadline_ns=call.left_ns(self._clock.now_ns),
             )
             wire_in += len(wire_request)
             wire_out += len(wire_response)
             if status is not StatusCode.OK:
-                self._advance_within_deadline(
-                    self._stream_cost_ns(len(requests), wire_in, wire_out),
-                    start_ns,
-                    deadline_ns,
+                yield from self._wait(
+                    call, self._stream_cost_ns(len(requests), wire_in, wire_out)
                 )
                 self.counters.inc("calls_failed")
                 if status is StatusCode.RESOURCE_EXHAUSTED:
                     raise ServerOverloadedError(detail)
                 raise RpcStatusError(status, detail)
             responses.append(decode_message(wire_response))
-        self._advance_within_deadline(
-            self._stream_cost_ns(len(requests), wire_in, wire_out),
-            start_ns,
-            deadline_ns,
+        yield from self._wait(
+            call, self._stream_cost_ns(len(requests), wire_in, wire_out)
         )
         self.counters.inc("calls")
         self.counters.inc("stream_messages", len(requests))
@@ -573,6 +569,28 @@ class Channel:
 
     def stub(self, service: str) -> "ServiceStub":
         return ServiceStub(self, service)
+
+
+class _Call:
+    """One call's timing context, threaded through the body's helpers: when
+    it started, its deadline (None = none), its driver, and the op's
+    attribution (on the loop)."""
+
+    __slots__ = ("start_ns", "deadline_ns", "inline", "attr")
+
+    def __init__(
+        self, start_ns: int, deadline_ns: float | None, inline: bool, attr=None
+    ):
+        self.start_ns = start_ns
+        self.deadline_ns = deadline_ns
+        self.inline = inline
+        self.attr = attr
+
+    def left_ns(self, now_ns: int) -> float | None:
+        """The budget left at *now_ns*, or None without a deadline."""
+        if self.deadline_ns is None:
+            return None
+        return self.deadline_ns - (now_ns - self.start_ns)
 
 
 class ServiceStub:

@@ -1,14 +1,24 @@
 """AsyncChannel: pipelined unary tasks, coalesced batches, and the
-buffered-deadline fail-fast regression (doomed wire messages must not ship)."""
+buffered-deadline fail-fast regression (doomed wire messages must not ship).
+
+A unary call has one body with two drivers — ``unary_call`` inline,
+``unary_task`` on the loop — so the differential cases below run the same
+scripts through both and expect the same outcome and counters."""
 
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.config import RpcConfig
-from repro.common.errors import RpcStatusError
+from repro.common.config import HealthConfig, OverloadConfig, RpcConfig
+from repro.common.errors import (
+    ObjectNotFoundError,
+    RpcStatusError,
+    ServerOverloadedError,
+)
 from repro.common.rng import DeterministicRng
+from repro.core.health import CircuitBreaker
 from repro.rpc import RpcServer, Service, StatusCode, rpc_method
-from repro.rpc.aio import AsyncChannel, EventLoop, Sleep
+from repro.rpc.aio import AsyncChannel, EventLoop, Sleep, TaskAttribution
+from repro.rpc.overload import OverloadModel
 
 
 class DirService(Service):
@@ -39,6 +49,10 @@ class DirService(Service):
     def Echo(self, request: dict) -> dict:
         return {"echo": request.get("msg", "")}
 
+    @rpc_method
+    def Gone(self, request: dict) -> dict:
+        raise ObjectNotFoundError("gone")
+
 
 @pytest.fixture
 def world():
@@ -55,6 +69,113 @@ def world():
             rng, loop=loop)
 
     return clock, loop, service, channel
+
+
+def pair(config, *, breaker_threshold=None, shed=False):
+    """A fresh seeded clock, loop and channel to a DirService server."""
+    clock = SimClock()
+    rng = DeterministicRng(7)
+    loop = EventLoop(clock, rng)
+    server = RpcServer("node-x")
+    server.add_service(DirService(known=[b"obj-1"]))
+    if shed:
+        # A one-slot queue ten seconds deep: every call is shed.
+        server.clock = clock
+        server.overload = OverloadModel(
+            clock, OverloadConfig(service_rate_ops_per_s=10.0, queue_depth=1))
+        server.overload.add_backlog(10_000_000_000)
+    breaker = None
+    if breaker_threshold is not None:
+        breaker = CircuitBreaker(
+            clock, HealthConfig(breaker_failure_threshold=breaker_threshold))
+    channel = AsyncChannel("node-y", server, clock, config, rng,
+                           loop=loop, breaker=breaker)
+    return clock, loop, channel
+
+
+def _expect_ok(outcomes, counters):
+    assert outcomes == [{"echo": "hi"}]
+    assert counters["calls"] == 1
+
+
+def _expect_not_found(outcomes, counters):
+    assert outcomes == [(RpcStatusError, StatusCode.NOT_FOUND)]
+    assert counters["calls_failed"] == 1
+
+
+def _expect_unimplemented(outcomes, counters):
+    assert outcomes == [(RpcStatusError, StatusCode.UNIMPLEMENTED)]
+
+
+def _expect_retried(outcomes, counters):
+    assert outcomes == [{"echo": str(i)} for i in range(10)]
+    assert counters["retries"] > 0
+
+
+def _expect_shed_fast(outcomes, counters):
+    assert outcomes == [(ServerOverloadedError, StatusCode.RESOURCE_EXHAUSTED)]
+    # The first shed found the retry budget dry: no second attempt.
+    assert counters["attempts_shed"] == 1
+    assert counters["retries_suppressed"] == 1
+
+
+def _expect_breaker_rejection(outcomes, counters):
+    assert outcomes == [(RpcStatusError, StatusCode.UNAVAILABLE)]
+    assert counters == {"breaker_rejections": 1}
+
+
+def _dry_budget(channel):
+    while channel.retry_budget.try_spend():
+        pass
+
+
+def _trip_breaker(channel):
+    channel.breaker.record_failure()
+
+
+#: name -> (pair() arguments, setup, expectation, calls as (method, request)).
+SCRIPTS = {
+    "ok": (dict(config=RpcConfig(jitter_sigma=0.0)), None, _expect_ok,
+           [("Echo", {"msg": "hi"})]),
+    "not_found": (dict(config=RpcConfig(jitter_sigma=0.0)), None,
+                  _expect_not_found, [("Gone", {})]),
+    "unimplemented": (dict(config=RpcConfig(jitter_sigma=0.0)), None,
+                      _expect_unimplemented, [("Missing", {})]),
+    "transient_drop": (
+        dict(config=RpcConfig(
+            jitter_sigma=0.0, inject_failure_rate=0.45, max_retries=4)),
+        None, _expect_retried,
+        [("Echo", {"msg": str(i)}) for i in range(10)]),
+    "shed_budget_dry": (
+        dict(config=RpcConfig(jitter_sigma=0.0, max_retries=3,
+                              retry_budget_per_s=1.0, retry_budget_burst=1),
+             shed=True),
+        _dry_budget, _expect_shed_fast, [("Echo", {})]),
+    "breaker_open": (
+        dict(config=RpcConfig(jitter_sigma=0.0), breaker_threshold=1),
+        _trip_breaker, _expect_breaker_rejection, [("Echo", {})]),
+}
+
+
+def run_script(name, driver):
+    """Run SCRIPTS[name] through one driver; returns (outcomes, counters)."""
+    kwargs, setup, _, calls = SCRIPTS[name]
+    _, loop, channel = pair(**kwargs)
+    if setup is not None:
+        setup(channel)
+    outcomes = []
+    for method, request in calls:
+        try:
+            if driver == "sync":
+                response = channel.unary_call("test.Dir", method, request)
+            else:
+                response = loop.run_until_complete(loop.spawn(
+                    channel.unary_task("test.Dir", method, request)))
+        except RpcStatusError as exc:
+            outcomes.append((type(exc), exc.code))
+        else:
+            outcomes.append(response)
+    return outcomes, channel.counters.snapshot()
 
 
 class TestUnaryTask:
@@ -89,23 +210,41 @@ class TestUnaryTask:
             loop.run_until_complete(task)
         assert excinfo.value.code is StatusCode.DEADLINE_EXCEEDED
 
-    def test_transient_failures_are_retried(self, world):
-        _, loop, _, make = world
-        ch = make(inject_failure_rate=0.45, max_retries=4)
-        results = []
-        for i in range(10):
-            task = loop.spawn(ch.unary_task("test.Dir", "Echo", {"msg": str(i)}))
-            results.append(loop.run_until_complete(task))
-        assert all(r["echo"] == str(i) for i, r in enumerate(results))
-        assert ch.counters.get("retries") > 0
+    @pytest.mark.parametrize("script", sorted(SCRIPTS))
+    def test_same_outcome_as_sync(self, script):
+        """Differential: the script's calls give the same responses (or
+        exception types and codes) and the same ``channel.counters`` through
+        ``unary_call`` as through ``unary_task`` on the loop. No deadline, so
+        the inline lump against the loop's split legs cannot decide an
+        outcome."""
+        sync_outcomes, sync_counters = run_script(script, "sync")
+        task_outcomes, task_counters = run_script(script, "task")
+        assert task_outcomes == sync_outcomes
+        assert task_counters == sync_counters
+        SCRIPTS[script][2](sync_outcomes, sync_counters)
 
-    def test_error_status_raises_same_as_sync(self, world):
-        _, loop, _, make = world
-        ch = make()
-        task = loop.spawn(ch.unary_task("test.Dir", "Missing", {}))
-        with pytest.raises(RpcStatusError) as excinfo:
-            loop.run_until_complete(task)
-        assert excinfo.value.code is StatusCode.UNIMPLEMENTED
+    def test_attribution_does_not_change_simulated_time(self):
+        """Regression: a retried call hinting its retry time to a
+        ``TaskAttribution`` drew a fresh transport cost from the channel's
+        RNG for the hint, so attaching observability moved simulated time
+        and the later drop decisions."""
+
+        def run(with_attr):
+            clock, loop, ch = pair(
+                RpcConfig(inject_failure_rate=0.5, max_retries=6))
+            for i in range(20):
+                attr = TaskAttribution(clock, clock.now_ns) if with_attr else None
+                task = loop.spawn(ch.unary_task(
+                    "test.Dir", "Echo", {"msg": str(i)}, attr=attr))
+                try:
+                    loop.run_until_complete(task)
+                except RpcStatusError:
+                    pass
+            return clock.now_ns, ch.counters.snapshot()
+
+        plain = run(False)
+        assert plain[1]["retries"] > 0
+        assert run(True) == plain
 
 
 class TestCoalescing:
